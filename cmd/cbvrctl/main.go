@@ -20,8 +20,8 @@ package main
 import (
 	"context"
 	"flag"
-	"io"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -452,6 +452,8 @@ func cmdStats(args []string) error {
 	fmt.Printf("commits:      %d\n", ds.Commits)
 	fmt.Printf("wal records:  %d\n", ds.WALRecords)
 	fmt.Printf("recovered:    %d txns at open\n", ds.Recovered)
+	fmt.Printf("page reads:   %d\n", ds.PageReads)
+	fmt.Printf("page writes:  %d\n", ds.PageWrites)
 
 	// Cell-index view: warms the search cache, so this reports exactly
 	// the pruning state a search in this process would run against.

@@ -103,9 +103,10 @@ func (e *Engine) SearchFrameCtx(ctx context.Context, query *imaging.Image, opt S
 	if err := e.warmCache(); err != nil {
 		return nil, err
 	}
-	planes := features.NewPlanes(query)
+	planes := features.AcquirePlanes(query)
 	qset := planes.ExtractAll()
 	qbucket := BucketFromPlanes(planes)
+	planes.Release()
 	return e.searchSet(ctx, qset, qbucket, opt)
 }
 
@@ -790,7 +791,9 @@ func (e *Engine) SearchVideoCtx(ctx context.Context, queryFrames []*imaging.Imag
 	}
 	qsets := make([]*features.Set, len(kfs))
 	parallelFor(len(kfs), e.workers(), func(i int) {
-		qsets[i] = features.ExtractAllShared(kfs[i].Image)
+		p := features.AcquirePlanes(kfs[i].Image)
+		qsets[i] = p.ExtractAll()
+		p.Release()
 	})
 	return e.searchVideoSets(ctx, qsets, opt)
 }

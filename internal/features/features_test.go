@@ -319,6 +319,50 @@ func TestGaborVectorBugLayout(t *testing.T) {
 	}
 }
 
+// TestGaborFaithfulLiveFilters pins the liveness mask derived from the
+// faithful layout: filter (m,n) with m<4 and n>=3 writes the slots that
+// (m+1, n-3) overwrites later, so exactly the 18 last writers survive —
+// all of scale 4 plus orientations 0-2 of scales 0-3.
+func TestGaborFaithfulLiveFilters(t *testing.T) {
+	live := 0
+	for m := 0; m < GaborScales; m++ {
+		for n := 0; n < GaborOrientations; n++ {
+			want := m == GaborScales-1 || n < 3
+			if gaborFaithfulLive[m][n] != want {
+				t.Errorf("filter (%d,%d): live = %v, want %v", m, n, gaborFaithfulLive[m][n], want)
+			}
+			if gaborFaithfulLive[m][n] {
+				live++
+			}
+		}
+	}
+	if live != 18 {
+		t.Errorf("%d live filters, want 18", live)
+	}
+}
+
+// TestGaborCorrectedMatchesReference pins ExtractGaborCorrected, which
+// computes all 30 filters, bit-for-bit to the retained reference pass in
+// the corrected layout. Scale 0 has kernel radius 3, so its 58 output
+// columns per row leave a two-column scalar tail after the four-wide
+// blocked loop; the other scales (radius 4, 6, 8) divide evenly.
+func TestGaborCorrectedMatchesReference(t *testing.T) {
+	gaborBankOnce.Do(buildGaborBank)
+	if r := gaborBank[0][0].radius; (gaborImageSize-2*r)%4 == 0 {
+		t.Fatalf("scale 0 radius %d no longer leaves a scalar tail", r)
+	}
+	for name, im := range equivalenceFrames() {
+		means, devs := gaborStatsReference(im)
+		want := gaborCorrectedLayout(&means, &devs)
+		got := ExtractGaborCorrected(im)
+		for i := range want.Vec {
+			if math.Float64bits(got.Vec[i]) != math.Float64bits(want.Vec[i]) {
+				t.Errorf("%s: corrected gabor[%d] = %v, 30-filter reference %v", name, i, got.Vec[i], want.Vec[i])
+			}
+		}
+	}
+}
+
 func TestGaborUniformNearZero(t *testing.T) {
 	im := imaging.New(64, 64)
 	im.Fill(180, 180, 180)

@@ -111,14 +111,62 @@ var gaborPlanePool = sync.Pool{
 	},
 }
 
+// gaborFilterSet marks which filters of the bank a statistics pass
+// computes; filters left out report zero mean and deviation.
+type gaborFilterSet [GaborScales][GaborOrientations]bool
+
+// gaborFaithfulSlot is the vector index the paper's layout writes filter
+// (m,n)'s mean to (its deviation goes to the next index): m*N + n*2
+// instead of (m*N+n)*2.
+func gaborFaithfulSlot(m, n int) int { return m*GaborOrientations + n*2 }
+
+var (
+	// gaborAllFilters computes the whole bank (corrected layout).
+	gaborAllFilters = func() (s gaborFilterSet) {
+		for m := range s {
+			for n := range s[m] {
+				s[m][n] = true
+			}
+		}
+		return s
+	}()
+	// gaborFaithfulLive is the set of filters whose statistics survive
+	// gaborFaithfulLayout: the last writer of each slot, replayed in the
+	// layout's own write order. Every other filter's slots are
+	// overwritten later, so computing it is wasted work.
+	gaborFaithfulLive = func() (s gaborFilterSet) {
+		var owner [GaborVectorLen]int
+		for i := range owner {
+			owner[i] = -1
+		}
+		for m := 0; m < GaborScales; m++ {
+			for n := 0; n < GaborOrientations; n++ {
+				i := gaborFaithfulSlot(m, n)
+				owner[i] = m*GaborOrientations + n
+				owner[i+1] = m*GaborOrientations + n
+			}
+		}
+		for _, f := range owner {
+			if f >= 0 {
+				s[f/GaborOrientations][f%GaborOrientations] = true
+			}
+		}
+		return s
+	}()
+)
+
 // gaborStats returns the per-filter magnitude means and deviations
 // normalised by image size, as in the paper's pseudo-code (which divides
 // both the sum of magnitudes and sqrt(sum of squared deviations) by
-// imageSize). The convolution walks each kernel row over a pre-sliced
-// pixel row so the inner loop carries no bounds checks; the
-// floating-point accumulation order is exactly the reference's, so the
-// statistics are bit-identical to gaborStatsReference.
-func gaborStats(g *imaging.Gray) (means, devs [GaborScales][GaborOrientations]float64) {
+// imageSize), for the filters in live; the rest stay zero.
+//
+// The convolution computes four adjacent output columns per pass (one
+// pixel row slice feeds four accumulator pairs) with a scalar loop for
+// the tail columns. Each accumulator receives exactly the reference's
+// sequence of separate multiplies and adds (dy outer, dx inner), and the
+// magnitudes are summed in x order, so the statistics are bit-identical
+// to gaborStatsReference.
+func gaborStats(g *imaging.Gray, live *gaborFilterSet) (means, devs [GaborScales][GaborOrientations]float64) {
 	gaborBankOnce.Do(buildGaborBank)
 	w, h := g.W, g.H
 	pixP := gaborPlanePool.Get().(*[]float64)
@@ -132,6 +180,9 @@ func gaborStats(g *imaging.Gray) (means, devs [GaborScales][GaborOrientations]fl
 	imageSize := float64(w * h)
 	for m := 0; m < GaborScales; m++ {
 		for n := 0; n < GaborOrientations; n++ {
+			if !live[m][n] {
+				continue
+			}
 			k := &gaborBank[m][n]
 			r := k.radius
 			side := 2*r + 1
@@ -143,7 +194,45 @@ func gaborStats(g *imaging.Gray) (means, devs [GaborScales][GaborOrientations]fl
 			var sum float64
 			count := 0
 			for y := r; y < h-r; y++ {
-				for x := r; x < w-r; x++ {
+				x := r
+				for ; x+3 < w-r; x += 4 {
+					var re0, im0, re1, im1, re2, im2, re3, im3 float64
+					for dy := -r; dy <= r; dy++ {
+						base := (y+dy)*w + x - r
+						row := pix[base : base+side+3 : base+side+3]
+						// c0..c3 are the row under columns x..x+3; slicing
+						// them to the kernel row's length drops every
+						// bounds check on the taps.
+						kre := kreRows[dy+r]
+						kim := kimRows[dy+r][:len(kre)]
+						c0 := row[0:len(kre)]
+						c1 := row[1 : 1+len(kre)]
+						c2 := row[2 : 2+len(kre)]
+						c3 := row[3 : 3+len(kre)]
+						for dx, kr := range kre {
+							ki := kim[dx]
+							re0 += c0[dx] * kr
+							im0 += c0[dx] * ki
+							re1 += c1[dx] * kr
+							im1 += c1[dx] * ki
+							re2 += c2[dx] * kr
+							im2 += c2[dx] * ki
+							re3 += c3[dx] * kr
+							im3 += c3[dx] * ki
+						}
+					}
+					out := mags[count : count+4 : count+4]
+					out[0] = math.Sqrt(re0*re0 + im0*im0)
+					out[1] = math.Sqrt(re1*re1 + im1*im1)
+					out[2] = math.Sqrt(re2*re2 + im2*im2)
+					out[3] = math.Sqrt(re3*re3 + im3*im3)
+					sum += out[0]
+					sum += out[1]
+					sum += out[2]
+					sum += out[3]
+					count += 4
+				}
+				for ; x < w-r; x++ {
 					var re, imag float64
 					for dy := -r; dy <= r; dy++ {
 						base := (y+dy)*w + x - r
@@ -237,7 +326,7 @@ func gaborStatsReference(im *imaging.Image) (means, devs [GaborScales][GaborOrie
 // ExtractGabor computes the §4.4 descriptor with the paper's faithful
 // (buggy) vector layout.
 func ExtractGabor(im *imaging.Image) *Gabor {
-	means, devs := gaborStats(gaborGray(im))
+	means, devs := gaborStats(gaborGray(im), &gaborFaithfulLive)
 	return gaborFaithfulLayout(&means, &devs)
 }
 
@@ -245,7 +334,7 @@ func ExtractGabor(im *imaging.Image) *Gabor {
 // reusing the gray plane (only the 300→64 gabor rescale remains
 // per-extractor).
 func ExtractGaborWith(p *Planes) *Gabor {
-	means, devs := gaborStats(p.Gray.Rescale(gaborImageSize, gaborImageSize))
+	means, devs := gaborStats(p.Gray.Rescale(gaborImageSize, gaborImageSize), &gaborFaithfulLive)
 	return gaborFaithfulLayout(&means, &devs)
 }
 
@@ -258,13 +347,15 @@ func ExtractGaborReference(im *imaging.Image) *Gabor {
 }
 
 // gaborFaithfulLayout packs filter statistics with the paper's faithful
-// indexing bug: m*N + n*2 (not (m*N+n)*2), leaving the tail zero.
+// indexing bug (gaborFaithfulSlot), leaving the tail zero. Only the
+// gaborFaithfulLive filters' statistics survive the packing.
 func gaborFaithfulLayout(means, devs *[GaborScales][GaborOrientations]float64) *Gabor {
 	out := &Gabor{}
 	for m := 0; m < GaborScales; m++ {
 		for n := 0; n < GaborOrientations; n++ {
-			out.Vec[m*GaborOrientations+n*2] = means[m][n]
-			out.Vec[m*GaborOrientations+n*2+1] = devs[m][n]
+			i := gaborFaithfulSlot(m, n)
+			out.Vec[i] = means[m][n]
+			out.Vec[i+1] = devs[m][n]
 		}
 	}
 	return out
@@ -274,7 +365,13 @@ func gaborFaithfulLayout(means, devs *[GaborScales][GaborOrientations]float64) *
 // (m*N+n)*2 layout, used by the ablation bench to quantify what the
 // indexing bug costs.
 func ExtractGaborCorrected(im *imaging.Image) *Gabor {
-	means, devs := gaborStats(gaborGray(im))
+	means, devs := gaborStats(gaborGray(im), &gaborAllFilters)
+	return gaborCorrectedLayout(&means, &devs)
+}
+
+// gaborCorrectedLayout packs filter statistics at (m*N+n)*2, one slot
+// pair per filter.
+func gaborCorrectedLayout(means, devs *[GaborScales][GaborOrientations]float64) *Gabor {
 	out := &Gabor{}
 	for m := 0; m < GaborScales; m++ {
 		for n := 0; n < GaborOrientations; n++ {

@@ -126,3 +126,38 @@ func TestAcquirePlanesConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestExtractAllLanesConcurrent has several callers run ExtractAllWithNaive
+// on the same pooled planes at once, under -race. Each call fans its
+// extractors out over two lanes that read the shared rasters, so this
+// checks that no extractor writes to the planes and that every Set still
+// equals the reference.
+func TestExtractAllLanesConcurrent(t *testing.T) {
+	const callers = 4
+	for name, im := range map[string]*imaging.Image{
+		"random":     randomFrame(21, 160, 120),
+		"structured": structuredFrame(22),
+	} {
+		ref := ExtractAllReference(im)
+		p := AcquirePlanes(im)
+		sig := ExtractNaiveWith(p)
+		sets := make([]*Set, callers)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				sets[c] = p.ExtractAllWithNaive(sig)
+			}(c)
+		}
+		wg.Wait()
+		p.Release()
+		for c, set := range sets {
+			for _, k := range AllKinds() {
+				if got, want := set.Get(k).String(), ref.Get(k).String(); got != want {
+					t.Errorf("%s caller %d: %v diverges from reference", name, c, k)
+				}
+			}
+		}
+	}
+}

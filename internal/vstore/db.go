@@ -58,8 +58,8 @@ type Options struct {
 
 // Stats carries cumulative operation counters for benchmarks and tests.
 type Stats struct {
-	PageReads   uint64
-	PageWrites  uint64
+	PageReads   uint64 // page images read from the data file (buffer-pool misses)
+	PageWrites  uint64 // page images written to the data file
 	WALRecords  uint64
 	Commits     uint64
 	Aborts      uint64
@@ -374,7 +374,10 @@ func (db *DB) Degraded() error {
 func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.stats
+	s := db.stats
+	s.PageReads = db.pager.reads.Load()
+	s.PageWrites = db.pager.writes.Load()
+	return s
 }
 
 // Path returns the data file path.

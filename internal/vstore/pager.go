@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultCachePages is the default buffer-pool capacity.
@@ -21,6 +22,11 @@ type pager struct {
 	cacheCap  int
 	cache     map[PageID]*list.Element // -> *Page
 	lru       *list.List               // front = most recently used
+
+	// reads and writes count page images moved to or from the data file
+	// (DB.Stats PageReads / PageWrites). Atomic because staged writers
+	// reach writeDetached outside every lock.
+	reads, writes atomic.Uint64
 }
 
 func openPager(fs VFS, path string, cacheCap int) (*pager, error) {
@@ -99,6 +105,7 @@ func (pg *pager) get(id PageID) (*Page, error) {
 	if _, err := pg.f.ReadAt(p.data, int64(id)*PageSize); err != nil {
 		return nil, fmt.Errorf("vstore: read page %d: %w", id, err)
 	}
+	pg.reads.Add(1)
 	pg.insertCache(p)
 	return p, nil
 }
@@ -181,6 +188,7 @@ func (pg *pager) writeDetached(p *Page) error {
 	if _, err := f.WriteAt(p.data, int64(p.id)*PageSize); err != nil {
 		return fmt.Errorf("vstore: write staged page %d: %w", p.id, err)
 	}
+	pg.writes.Add(1)
 	return nil
 }
 
@@ -192,6 +200,7 @@ func (pg *pager) writePage(p *Page) error {
 	if _, err := pg.f.WriteAt(p.data, int64(p.id)*PageSize); err != nil {
 		return fmt.Errorf("vstore: write page %d: %w", p.id, err)
 	}
+	pg.writes.Add(1)
 	p.dirty = false
 	return nil
 }
@@ -225,6 +234,7 @@ func (pg *pager) writeRaw(id PageID, image []byte) error {
 	if _, err := pg.f.WriteAt(image, int64(id)*PageSize); err != nil {
 		return fmt.Errorf("vstore: recover page %d: %w", id, err)
 	}
+	pg.writes.Add(1)
 	if id >= pg.pageCount {
 		pg.pageCount = id + 1
 	}

@@ -436,3 +436,58 @@ func TestTablePersistsAcrossReopen(t *testing.T) {
 		t.Errorf("blob = %q err=%v", b, err)
 	}
 }
+
+// TestStatsCountPageIO pins the page I/O counters: a checkpoint writes
+// the committed pages to the data file and moves PageWrites, and a read
+// on a freshly opened store (cold buffer pool) fetches pages from the
+// data file and moves PageReads.
+func TestStatsCountPageIO(t *testing.T) {
+	path := t.TempDir() + "/io.db"
+	db, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := db.Begin()
+	tbl, err := db.CreateTable(tx, testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := tbl.Insert(tx, sampleRow(0, "io", 1, bytes.Repeat([]byte{7}, 3*PageSize)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats().PageWrites
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after := db.Stats().PageWrites; after <= before {
+		t.Errorf("checkpoint left PageWrites at %d (was %d)", after, before)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	tbl2, err := db2.Table("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = db2.Stats().PageReads
+	row, ok, err := tbl2.Get(nil, pk)
+	if err != nil || !ok {
+		t.Fatalf("row lost across reopen: ok=%v err=%v", ok, err)
+	}
+	if _, err := db2.ReadBlob(nil, row[4].Blob); err != nil {
+		t.Fatal(err)
+	}
+	if after := db2.Stats().PageReads; after <= before {
+		t.Errorf("cold read left PageReads at %d (was %d)", after, before)
+	}
+}
