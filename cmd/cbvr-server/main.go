@@ -1,17 +1,28 @@
-// Command cbvr-server serves the multi-client JSON/HTTP API around one
-// CBVR database. It is the programmatic counterpart of cbvr-web: the same
-// engine entry points, but JSON in and out, an ingest admission queue, and
-// graceful shutdown that drains in-flight requests.
+// Command cbvr-server serves one CBVR database to many concurrent clients:
+// the paper's HTML web application (Figs. 2, 9, 10) and the JSON API, from
+// one mux behind the same per-request deadlines, admission classes, upload
+// cap, body-stall watchdog and graceful drain. Seed a store with
+// `cbvrctl gen` first.
 //
 //	cbvr-server -db cbvr.db -addr :8081
 //
 // Routes (see internal/server and DESIGN.md "Server layer"):
 //
+//	GET    /                     query form + video listing
+//	POST   /search               multipart "image" upload → ranked thumbnail grid
+//	GET    /video?id=N           video page with its key frames (Fig. 10)
+//	GET    /frame?id=N           key-frame JPEG bytes
+//	GET    /download?id=N        stored CVJ container
+//	POST   /admin/upload         multipart "video" CVJ upload (+ "name" field)
+//	POST   /admin/delete         form "id"
+//	POST   /admin/reindex        optional form "id"; none rebuilds the store
 //	POST   /api/v1/search        multipart "image" or raw JPEG body → ranked matches
 //	GET    /api/v1/videos        store listing
 //	DELETE /api/v1/videos?id=N   delete one video
 //	POST   /api/v1/ingest        multipart "video" or raw CVJ body (?name=) → ingest
 //	POST   /api/v1/reindex[?id=N] rebuild feature rows
+//	GET    /api/v1/stats         search tally, cell index, admission view
+//	GET    /healthz              ok / browned-out / shedding / degraded
 //
 // On SIGINT/SIGTERM the listener stops accepting, in-flight requests get
 // -drain to finish, and past that their contexts are cancelled: staged
@@ -32,6 +43,7 @@ import (
 	"time"
 
 	"cbvr"
+	"cbvr/internal/admission"
 	"cbvr/internal/server"
 )
 
@@ -58,14 +70,15 @@ func run() int {
 		log.Printf("cbvr-server: %v", err)
 		return 1
 	}
-	api := server.New(sys.Engine(), server.Options{
-		MaxUploadBytes:     *maxUpload,
-		MaxInFlightIngests: *maxIngests,
-		SearchDeadline:     *searchDeadline,
-		MutateDeadline:     *mutateDeadline,
-		MaxDeadline:        *maxDeadline,
-		BodyStallTimeout:   *bodyStall,
-	})
+	opts := server.Options{
+		MaxUploadBytes:   *maxUpload,
+		SearchDeadline:   *searchDeadline,
+		MutateDeadline:   *mutateDeadline,
+		MaxDeadline:      *maxDeadline,
+		BodyStallTimeout: *bodyStall,
+	}
+	opts.Admission.Limit[admission.Ingest] = *maxIngests
+	api := server.New(sys.Engine(), opts)
 	// Header and idle timeouts bound what a connection may cost before it
 	// carries an admitted request; body pace is the watchdog's job (a
 	// blanket ReadTimeout would cut legitimately long uploads), and the

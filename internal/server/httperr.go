@@ -1,9 +1,9 @@
-// Package httperr maps engine errors onto HTTP status codes, shared by the
-// JSON API (internal/server) and the HTML UI (internal/webui) so both
-// surfaces classify failures identically: the client's fault (4xx) is told
-// apart from the server's (5xx) by inspecting the error chain, never by
-// string matching.
-package httperr
+package server
+
+// This file maps engine errors onto HTTP status codes for every route, the
+// JSON API and the HTML UI alike, so both classify failures identically:
+// the client's fault (4xx) is told apart from the server's (5xx) by
+// inspecting the error chain, never by string matching.
 
 import (
 	"context"

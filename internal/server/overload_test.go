@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,7 +127,7 @@ func TestHealthzStateTransitions(t *testing.T) {
 // must now produce integer seconds ≥ 1.
 func TestShedFailsFastWithComputedRetryAfter(t *testing.T) {
 	eng := openTestEngine(t)
-	srv := New(eng, Options{MaxInFlightIngests: 1})
+	srv := New(eng, Options{Admission: ingestLimit(1)})
 	admitted := make(chan string, 1)
 	srv.admitHook = func(name string) { admitted <- name }
 	ts := httptest.NewServer(srv)
@@ -243,7 +245,7 @@ func (s *stallingReader) Read(p []byte) (int, error) {
 // upload must succeed immediately afterwards.
 func TestBodyStallWatchdogCutsSlowLoris(t *testing.T) {
 	eng := openTestEngine(t)
-	srv := New(eng, Options{MaxInFlightIngests: 1, BodyStallTimeout: 150 * time.Millisecond})
+	srv := New(eng, Options{Admission: ingestLimit(1), BodyStallTimeout: 150 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -309,5 +311,137 @@ func waitFor(t *testing.T, budget time.Duration, cond func() bool) {
 			t.Fatal("condition not reached within budget")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// readFlag records whether anything read the request body.
+type readFlag struct {
+	io.Reader
+	read bool
+}
+
+func (b *readFlag) Read(p []byte) (int, error) {
+	b.read = true
+	return b.Reader.Read(p)
+}
+
+// TestUIRoutesShareAPIGuards pins that the HTML routes run behind the
+// API's guards: the deadline echo on reads and searches, the ingest
+// admission class (429 + Retry-After when full), the body-stall watchdog
+// (408) and the degraded-store refusal before the upload body is read.
+func TestUIRoutesShareAPIGuards(t *testing.T) {
+	ffs := faultfs.New()
+	eng, err := core.Open("guards.db", core.Options{Store: vstore.Options{FS: ffs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	raw, v := testContainer(t, synthvid.Cartoon, 740, 8)
+	res, err := eng.IngestFrames("resident", v.Frames, v.FPS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng, Options{Admission: ingestLimit(1), BodyStallTimeout: 150 * time.Millisecond})
+	upload := func() (*bytes.Buffer, string) {
+		var buf bytes.Buffer
+		mw := multipart.NewWriter(&buf)
+		fw, _ := mw.CreateFormFile("video", "clip.cvj")
+		fw.Write(raw)
+		mw.WriteField("name", "clip")
+		mw.Close()
+		return &buf, mw.FormDataContentType()
+	}
+
+	// Reads and searches echo the search deadline.
+	want := strconv.FormatInt(DefaultSearchDeadline.Milliseconds(), 10)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	if rec.Code != http.StatusOK || rec.Header().Get(DeadlineHeader) != want {
+		t.Fatalf("home: %d, deadline echo %q, want %s", rec.Code, rec.Header().Get(DeadlineHeader), want)
+	}
+	var q bytes.Buffer
+	mw := multipart.NewWriter(&q)
+	fw, _ := mw.CreateFormFile("image", "q.jpg")
+	fw.Write(queryJPEG(t, v))
+	mw.Close()
+	req := httptest.NewRequest(http.MethodPost, "/search", &q)
+	req.Header.Set("Content-Type", mw.FormDataContentType())
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || rec.Header().Get(DeadlineHeader) != want || rec.Header().Get(BrownoutHeader) == "" {
+		t.Fatalf("search: %d, deadline echo %q, brownout %q", rec.Code, rec.Header().Get(DeadlineHeader), rec.Header().Get(BrownoutHeader))
+	}
+
+	// A full ingest class turns a UI upload away with 429 + Retry-After.
+	tk, err := srv.Admission().Acquire(context.Background(), admission.Ingest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ctype := upload()
+	req = httptest.NewRequest(http.MethodPost, "/admin/upload", body)
+	req.Header.Set("Content-Type", ctype)
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	tk.Release()
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("upload with ingest class full: %d retry-after=%q", rec.Code, rec.Header().Get("Retry-After"))
+	}
+
+	// A UI upload that stalls mid-body is cut by the watchdog.
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	body, ctype = upload()
+	sr := &stallingReader{data: body.Bytes(), limit: body.Len() / 2, release: make(chan struct{})}
+	defer close(sr.release)
+	hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/admin/upload", sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", ctype)
+	start := time.Now()
+	resp, err := (&http.Client{Timeout: 5 * time.Second}).Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("stalled UI upload: %d, want 408", resp.StatusCode)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("watchdog took %v to cut a 150ms stall", elapsed)
+	}
+
+	// Poison the store through a UI delete; the next upload is refused
+	// with 503 + Retry-After before its body is read.
+	fired := false
+	ffs.SetInjector(func(op faultfs.Op) faultfs.Action {
+		if !fired && op.Kind == faultfs.OpWrite && op.Name == "guards.db.wal" {
+			fired = true
+			return faultfs.ActErr
+		}
+		return faultfs.ActNone
+	})
+	req = httptest.NewRequest(http.MethodPost, "/admin/delete", strings.NewReader("id="+itoa(res.VideoID)))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	ffs.SetInjector(nil)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("delete under WAL fault: %d %s", rec.Code, rec.Body.String())
+	}
+	body, ctype = upload()
+	rf := &readFlag{Reader: body}
+	req = httptest.NewRequest(http.MethodPost, "/admin/upload", rf)
+	req.Header.Set("Content-Type", ctype)
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("upload on degraded store: %d retry-after=%q", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if rf.read {
+		t.Fatal("degraded store read the upload body before refusing it")
+	}
+	if got := rec.Header().Get(DeadlineHeader); got != strconv.FormatInt(DefaultMutateDeadline.Milliseconds(), 10) {
+		t.Fatalf("upload deadline echo %q, want the mutate deadline", got)
 	}
 }

@@ -1,7 +1,8 @@
 // Package server exposes the CBVR engine to multiple concurrent clients
-// over a JSON/HTTP API. It is the programmatic counterpart of the HTML UI
-// (internal/webui): both sit on the same context-aware engine entry points
-// and the same error classification (internal/httperr).
+// over HTTP: a JSON API under /api/v1 and the paper's HTML web UI (ui.go)
+// on one mux. Both sit on the same context-aware engine entry points, the
+// same admission, deadline and body guards, and the same error
+// classification (httperr.go).
 //
 // Concurrency model: uploads run the engine's two-phase staged ingest —
 // decode, key-frame selection, feature extraction and blob staging proceed
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"mime"
+	"mime/multipart"
 	"net/http"
 	"strconv"
 	"strings"
@@ -35,7 +37,6 @@ import (
 
 	"cbvr/internal/admission"
 	"cbvr/internal/core"
-	"cbvr/internal/httperr"
 	"cbvr/internal/imaging"
 )
 
@@ -44,17 +45,11 @@ type Options struct {
 	// MaxUploadBytes caps request bodies (containers and query frames);
 	// <= 0 selects 64 MiB. Oversized bodies fail with 413 naming the cap.
 	MaxUploadBytes int64
-	// MaxInFlightIngests bounds concurrently admitted uploads; excess
-	// requests are turned away immediately with 429 + Retry-After rather
-	// than queued (the client can pace itself; the server must not buffer
-	// unbounded decode work). <= 0 defers to Admission's ingest limit
-	// (default 2×GOMAXPROCS). Kept as a top-level field because it
-	// predates the admission controller; it overrides Admission's ingest
-	// limit when set.
-	MaxInFlightIngests int
 	// Admission configures the weighted admission controller: per-class
 	// concurrency limits, queue depths, shed thresholds and the load
-	// signal. Zero fields take the admission package defaults.
+	// signal. Zero fields take the admission package defaults; uploads
+	// past the ingest limit are turned away with 429 + Retry-After, not
+	// queued.
 	Admission admission.Config
 	// SearchDeadline is the server-assigned deadline for search and read
 	// endpoints; <= 0 selects 15s.
@@ -68,9 +63,8 @@ type Options struct {
 	MaxDeadline time.Duration
 	// BodyStallTimeout arms the slow-client watchdog: each body read must
 	// deliver bytes within this window or the connection read fails
-	// (classified 408). <= 0 selects 15s; negative... use >= 0 semantics:
-	// values < 0 disable the watchdog (tests with deliberately parked
-	// uploads).
+	// (classified 408). 0 selects 15s; a negative value disables the
+	// watchdog (tests with deliberately parked uploads).
 	BodyStallTimeout time.Duration
 }
 
@@ -99,7 +93,7 @@ const BrownoutHeader = "X-CBVR-Brownout"
 // "browned-out": below this the budget shrink is negligible noise.
 const brownoutVisible = 0.01
 
-// Server is the JSON API handler set. Create one with New.
+// Server is the handler set of both front-ends. Create one with New.
 type Server struct {
 	eng  *core.Engine
 	mux  *http.ServeMux
@@ -122,13 +116,11 @@ type Server struct {
 	admitHook func(name string)
 }
 
-// New builds the API route table around an engine.
+// New builds the route table of the JSON API and the HTML UI around an
+// engine.
 func New(eng *core.Engine, opts Options) *Server {
 	if opts.MaxUploadBytes <= 0 {
 		opts.MaxUploadBytes = DefaultMaxUploadBytes
-	}
-	if opts.MaxInFlightIngests > 0 {
-		opts.Admission.Limit[admission.Ingest] = opts.MaxInFlightIngests
 	}
 	if opts.SearchDeadline <= 0 {
 		opts.SearchDeadline = DefaultSearchDeadline
@@ -157,6 +149,14 @@ func New(eng *core.Engine, opts Options) *Server {
 	s.mux.HandleFunc("/api/v1/reindex", s.handleReindex)
 	s.mux.HandleFunc("/api/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/", s.handleHome)
+	s.mux.HandleFunc("/search", s.handleUISearch)
+	s.mux.HandleFunc("/video", s.handleVideo)
+	s.mux.HandleFunc("/frame", s.handleFrame)
+	s.mux.HandleFunc("/download", s.handleDownload)
+	s.mux.HandleFunc("/admin/upload", s.handleAdminUpload)
+	s.mux.HandleFunc("/admin/delete", s.handleAdminDelete)
+	s.mux.HandleFunc("/admin/reindex", s.handleAdminReindex)
 	return s
 }
 
@@ -183,7 +183,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	lvl := s.adm.Level()
 	if err := s.eng.Degraded(); err != nil {
-		httperr.ApplyRetryAfter(w.Header(), err, s.adm.RetryAfter(admission.Ingest))
+		ApplyRetryAfter(w.Header(), err, s.adm.RetryAfter(admission.Ingest))
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":   "degraded",
 			"reason":   err.Error(),
@@ -240,7 +240,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // search budget.
 func (s *Server) routeDeadline(r *http.Request) time.Duration {
 	switch r.URL.Path {
-	case "/api/v1/ingest", "/api/v1/reindex":
+	case "/api/v1/ingest", "/api/v1/reindex", "/admin/upload", "/admin/delete", "/admin/reindex":
 		return s.opts.MutateDeadline
 	case "/api/v1/videos":
 		if r.Method == http.MethodDelete {
@@ -287,16 +287,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // service times (admission sheds embed their own estimate; degraded-store
 // errors are floored at the restart backoff).
 func (s *Server) writeErr(w http.ResponseWriter, err error, class admission.Class) {
-	httperr.ApplyRetryAfter(w.Header(), err, s.adm.RetryAfter(class))
-	writeJSON(w, httperr.StatusOf(err), map[string]string{"error": httperr.Message(err)})
+	ApplyRetryAfter(w.Header(), err, s.adm.RetryAfter(class))
+	writeJSON(w, StatusOf(err), map[string]string{"error": Message(err)})
 }
 
 // writeStoredErr classifies errors from operations over stored data
 // (reindex, delete), where a format error means store corruption, not a
 // bad request.
 func (s *Server) writeStoredErr(w http.ResponseWriter, err error, class admission.Class) {
-	httperr.ApplyRetryAfter(w.Header(), err, s.adm.RetryAfter(class))
-	writeJSON(w, httperr.StatusOfStored(err), map[string]string{"error": httperr.Message(err)})
+	ApplyRetryAfter(w.Header(), err, s.adm.RetryAfter(class))
+	writeJSON(w, StatusOfStored(err), map[string]string{"error": Message(err)})
+}
+
+// badRequest rejects a malformed request with 400.
+func badRequest(w http.ResponseWriter, msg string) {
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": msg})
 }
 
 // methodErr rejects a request with 405 and the allowed verbs.
@@ -381,53 +386,11 @@ type reindexJSON struct {
 	KeyFrames int    `json:"key_frames"`
 }
 
-// handleSearch ranks stored key frames against a query frame. The frame
-// arrives either as multipart field "image" or as a raw JPEG body; "k"
-// (query or form value) bounds the result count. The response carries the
-// brownout level the search ran at in the BrownoutHeader header.
+// handleSearch ranks stored key frames against a query frame and returns
+// the matches as JSON (see search).
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodErr(w, http.MethodPost)
-		return
-	}
-	tk, ok := s.admit(w, r, admission.Search)
+	matches, ok := s.search(w, r, 1000)
 	if !ok {
-		return
-	}
-	defer tk.Release()
-	// The admission-derived load level drives the engine brownout: set it
-	// before the search so this request's probe budget reflects current
-	// pressure, and report it so the client knows the quality it got.
-	lvl := s.adm.Level()
-	s.eng.SetBrownout(lvl)
-	w.Header().Set(BrownoutHeader, strconv.FormatFloat(lvl, 'f', 3, 64))
-	s.guardBody(w, r)
-	var frameSrc io.Reader = r.Body
-	if isMultipart(r) {
-		file, _, err := r.FormFile("image")
-		if err != nil {
-			s.writeErr(w, fmt.Errorf("missing \"image\" upload: %w", err), admission.Search)
-			return
-		}
-		defer file.Close()
-		frameSrc = file
-	}
-	query, err := imaging.DecodeJPEG(frameSrc)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "query frame is not a decodable JPEG: " + err.Error()})
-		return
-	}
-	kStr := r.URL.Query().Get("k")
-	if kStr == "" && r.MultipartForm != nil {
-		kStr = r.FormValue("k") // populated by the FormFile parse above
-	}
-	k := 12
-	if v, err := strconv.Atoi(kStr); err == nil && v > 0 && v <= 1000 {
-		k = v
-	}
-	matches, err := s.eng.SearchFrameCtx(r.Context(), query, core.SearchOptions{K: k})
-	if err != nil {
-		s.writeErr(w, err, admission.Search)
 		return
 	}
 	out := make([]matchJSON, len(matches))
@@ -441,6 +404,77 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"matches": out})
+}
+
+// search is the query path of both front-ends. The frame arrives either as
+// multipart field "image" or as a raw JPEG body; "k" (query or form value,
+// at most maxK) bounds the result count. The response carries the brownout
+// level the search ran at in the BrownoutHeader header. On failure search
+// has written the response and reports false.
+func (s *Server) search(w http.ResponseWriter, r *http.Request, maxK int) ([]core.Match, bool) {
+	if r.Method != http.MethodPost {
+		methodErr(w, http.MethodPost)
+		return nil, false
+	}
+	tk, ok := s.admit(w, r, admission.Search)
+	if !ok {
+		return nil, false
+	}
+	defer tk.Release()
+	// The admission-derived load level drives the engine brownout: set it
+	// before the search so this request's probe budget reflects current
+	// pressure, and report it so the client knows the quality it got.
+	lvl := s.adm.Level()
+	s.eng.SetBrownout(lvl)
+	w.Header().Set(BrownoutHeader, strconv.FormatFloat(lvl, 'f', 3, 64))
+	s.guardBody(w, r)
+	var frameSrc io.Reader = r.Body
+	if isMultipart(r) {
+		file, _, ok := s.formFile(w, r, "image", admission.Search)
+		if !ok {
+			return nil, false
+		}
+		defer file.Close()
+		frameSrc = file
+	}
+	query, err := imaging.DecodeJPEG(frameSrc)
+	if err != nil {
+		badRequest(w, "query frame is not a decodable JPEG: "+err.Error())
+		return nil, false
+	}
+	kStr := r.URL.Query().Get("k")
+	if kStr == "" && r.MultipartForm != nil {
+		kStr = r.FormValue("k") // populated by the FormFile parse above
+	}
+	k := 12
+	if v, err := strconv.Atoi(kStr); err == nil && v > 0 && v <= maxK {
+		k = v
+	}
+	matches, err := s.eng.SearchFrameCtx(r.Context(), query, core.SearchOptions{K: k})
+	if err != nil {
+		s.writeErr(w, err, admission.Search)
+		return nil, false
+	}
+	return matches, true
+}
+
+// formFile opens the multipart file part named field: the one form-file
+// error path of the API search, the UI search and the UI upload. A failure
+// the shared table classifies keeps its status (413 naming the cap, 408
+// for a stalled body, 503 for an abandoned request); anything else from
+// the form parser means the part is missing or the body is malformed: 400.
+func (s *Server) formFile(w http.ResponseWriter, r *http.Request, field string, class admission.Class) (multipart.File, *multipart.FileHeader, bool) {
+	file, hdr, err := r.FormFile(field)
+	if err == nil {
+		return file, hdr, true
+	}
+	err = fmt.Errorf("missing or malformed %q upload: %w", field, err)
+	if StatusOf(err) == http.StatusInternalServerError {
+		badRequest(w, err.Error())
+	} else {
+		s.writeErr(w, err, class)
+	}
+	return nil, nil, false
 }
 
 // handleVideos lists the store (GET) or deletes one video (DELETE ?id=N).
@@ -467,22 +501,47 @@ func (s *Server) handleVideos(w http.ResponseWriter, r *http.Request) {
 	case http.MethodDelete:
 		id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
 		if err != nil || id <= 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing or invalid \"id\" query parameter"})
+			badRequest(w, "missing or invalid \"id\" query parameter")
 			return
 		}
-		tk, ok := s.admit(w, r, admission.Delete)
-		if !ok {
-			return
+		if s.deleteVideo(w, r, id) {
+			writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
 		}
-		defer tk.Release()
-		if err := s.eng.DeleteVideo(id); err != nil {
-			s.writeStoredErr(w, err, admission.Delete)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
 	default:
 		methodErr(w, "GET, DELETE")
 	}
+}
+
+// deleteVideo deletes one video for either front-end under the Delete
+// admission class. On failure it has written the response and reports
+// false.
+func (s *Server) deleteVideo(w http.ResponseWriter, r *http.Request, id int64) bool {
+	tk, ok := s.admit(w, r, admission.Delete)
+	if !ok {
+		return false
+	}
+	defer tk.Release()
+	if err := s.eng.DeleteVideo(id); err != nil {
+		s.writeStoredErr(w, err, admission.Delete)
+		return false
+	}
+	return true
+}
+
+// admitIngest admits one upload from either front-end to the Ingest class.
+// A degraded store is refused before the client streams the container: the
+// store would reject the staged writer anyway, and failing here costs one
+// header round-trip instead of the whole body.
+func (s *Server) admitIngest(w http.ResponseWriter, r *http.Request) (*admission.Ticket, bool) {
+	if err := s.eng.Degraded(); err != nil {
+		s.writeErr(w, err, admission.Ingest)
+		return nil, false
+	}
+	tk, ok := s.admit(w, r, admission.Ingest)
+	if ok && s.admitHook != nil {
+		s.admitHook(r.URL.Query().Get("name"))
+	}
+	return tk, ok
 }
 
 // handleIngest admits one upload into the staged ingest pipeline. The
@@ -495,21 +554,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		methodErr(w, http.MethodPost)
 		return
 	}
-	// Refuse degraded uploads before the client streams the container: the
-	// store would reject the staged writer anyway, and failing here costs
-	// one header round-trip instead of the whole body.
-	if err := s.eng.Degraded(); err != nil {
-		s.writeErr(w, err, admission.Ingest)
-		return
-	}
-	tk, ok := s.admit(w, r, admission.Ingest)
+	tk, ok := s.admitIngest(w, r)
 	if !ok {
 		return
 	}
 	defer tk.Release()
-	if s.admitHook != nil {
-		s.admitHook(r.URL.Query().Get("name"))
-	}
 	s.guardBody(w, r)
 
 	name := r.URL.Query().Get("name")
@@ -517,7 +566,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if isMultipart(r) {
 		mr, err := r.MultipartReader()
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed multipart body: " + err.Error()})
+			badRequest(w, "malformed multipart body: "+err.Error())
 			return
 		}
 		// Walk parts in wire order so the container part streams straight
@@ -531,7 +580,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 			part, err := mr.NextPart()
 			if err == io.EOF {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing \"video\" upload part"})
+				badRequest(w, "missing \"video\" upload part")
 				return
 			}
 			if err != nil {
@@ -566,45 +615,56 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ingestJSON{VideoID: res.VideoID, NumFrames: res.NumFrames, KeyFrameIDs: res.KeyFrameIDs})
 }
 
-// handleReindex rebuilds feature rows from stored key-frame streams: one
-// video with ?id= (or form id), the whole store without. Reindex is the
-// lowest-priority admission class — the first work shed under load.
+// handleReindex rebuilds feature rows and lists the rebuilt videos as
+// JSON (see reindex).
 func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodErr(w, http.MethodPost)
-		return
-	}
-	tk, ok := s.admit(w, r, admission.Reindex)
+	results, ok := s.reindex(w, r)
 	if !ok {
 		return
-	}
-	defer tk.Release()
-	var results []*core.ReindexResult
-	if idStr := queryOrForm(r, "id"); idStr != "" {
-		id, err := strconv.ParseInt(idStr, 10, 64)
-		if err != nil || id <= 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid \"id\" parameter"})
-			return
-		}
-		res, err := s.eng.ReindexVideoCtx(r.Context(), id)
-		if err != nil {
-			s.writeStoredErr(w, err, admission.Reindex)
-			return
-		}
-		results = []*core.ReindexResult{res}
-	} else {
-		var err error
-		results, err = s.eng.ReindexAllCtx(r.Context())
-		if err != nil {
-			s.writeStoredErr(w, err, admission.Reindex)
-			return
-		}
 	}
 	out := make([]reindexJSON, len(results))
 	for i, res := range results {
 		out[i] = reindexJSON{VideoID: res.VideoID, VideoName: res.VideoName, KeyFrames: res.KeyFrames}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"reindexed": out})
+}
+
+// reindex rebuilds feature rows from stored key-frame streams for either
+// front-end: one video with an "id" query or form value, the whole store
+// without. Reindex is the lowest-priority admission class — the first work
+// shed under load. The videos stay searchable throughout: each rebuild
+// swaps in atomically on commit. On failure reindex has written the
+// response and reports false.
+func (s *Server) reindex(w http.ResponseWriter, r *http.Request) ([]*core.ReindexResult, bool) {
+	if r.Method != http.MethodPost {
+		methodErr(w, http.MethodPost)
+		return nil, false
+	}
+	tk, ok := s.admit(w, r, admission.Reindex)
+	if !ok {
+		return nil, false
+	}
+	defer tk.Release()
+	s.guardBody(w, r)
+	if idStr := queryOrForm(r, "id"); idStr != "" {
+		id, err := strconv.ParseInt(idStr, 10, 64)
+		if err != nil || id <= 0 {
+			badRequest(w, "invalid \"id\" parameter")
+			return nil, false
+		}
+		res, err := s.eng.ReindexVideoCtx(r.Context(), id)
+		if err != nil {
+			s.writeStoredErr(w, err, admission.Reindex)
+			return nil, false
+		}
+		return []*core.ReindexResult{res}, true
+	}
+	results, err := s.eng.ReindexAllCtx(r.Context())
+	if err != nil {
+		s.writeStoredErr(w, err, admission.Reindex)
+		return nil, false
+	}
+	return results, true
 }
 
 // handleStats reports the engine's cumulative search work counters, the

@@ -32,6 +32,14 @@ func openTestEngine(t *testing.T) *core.Engine {
 	return eng
 }
 
+// ingestLimit is an admission config that admits at most n concurrent
+// uploads.
+func ingestLimit(n int) admission.Config {
+	var cfg admission.Config
+	cfg.Limit[admission.Ingest] = n
+	return cfg
+}
+
 // testContainer encodes a deterministic synthetic clip as CVJ bytes.
 func testContainer(t *testing.T, cat synthvid.Category, seed int64, frames int) ([]byte, *synthvid.Video) {
 	t.Helper()
@@ -54,12 +62,22 @@ func queryJPEG(t *testing.T, v *synthvid.Video) []byte {
 	return buf.Bytes()
 }
 
+// formBody is a request body that carries its own Content-Type, which
+// doJSON sends with it.
+type formBody struct {
+	io.Reader
+	contentType string
+}
+
 // doJSON performs a request and decodes the JSON response body.
 func doJSON(t *testing.T, method, url string, body io.Reader, out any) (*http.Response, string) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fb, ok := body.(formBody); ok {
+		req.Header.Set("Content-Type", fb.contentType)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -116,10 +134,11 @@ func TestServerConcurrentStress(t *testing.T) {
 	// the overload tests.
 	adm := admission.Config{MaxWait: time.Minute}
 	adm.Limit[admission.Search] = 16
+	adm.Limit[admission.Ingest] = 8
 	for c := admission.Class(0); c < admission.NumClasses; c++ {
 		adm.ShedAt[c] = 2
 	}
-	ts := httptest.NewServer(New(eng, Options{MaxInFlightIngests: 8, Admission: adm}))
+	ts := httptest.NewServer(New(eng, Options{Admission: adm}))
 	defer ts.Close()
 
 	// Two resident videos: search targets and a delete victim.
@@ -238,7 +257,7 @@ func TestServerConcurrentStress(t *testing.T) {
 // completes.
 func TestIngestAdmissionQueue(t *testing.T) {
 	eng := openTestEngine(t)
-	srv := New(eng, Options{MaxInFlightIngests: 1})
+	srv := New(eng, Options{Admission: ingestLimit(1)})
 	admitted := make(chan string, 4)
 	srv.admitHook = func(name string) { admitted <- name }
 	ts := httptest.NewServer(srv)
@@ -302,6 +321,11 @@ func TestErrorClassification(t *testing.T) {
 	if len(big) <= 32<<10 {
 		t.Fatalf("big container too small to trip the cap: %d", len(big))
 	}
+	// A well-formed multipart search body without the "image" part.
+	var noImage bytes.Buffer
+	mw := multipart.NewWriter(&noImage)
+	mw.WriteField("k", "5")
+	mw.Close()
 
 	cases := []struct {
 		name       string
@@ -321,6 +345,8 @@ func TestErrorClassification(t *testing.T) {
 		{"bad search method", "GET", "/api/v1/search", nil, 405, ""},
 		{"bad ingest method", "GET", "/api/v1/ingest", nil, 405, ""},
 		{"search not a jpeg", "POST", "/api/v1/search", strings.NewReader("nope"), 400, ""},
+		{"search missing image part", "POST", "/api/v1/search", formBody{&noImage, mw.FormDataContentType()}, 400, "image"},
+		{"search malformed multipart", "POST", "/api/v1/search", formBody{strings.NewReader("not multipart"), "multipart/form-data; boundary=x"}, 400, ""},
 	}
 	for _, tc := range cases {
 		resp, body := doJSON(t, tc.method, ts.URL+tc.url, tc.body, nil)

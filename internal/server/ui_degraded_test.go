@@ -1,4 +1,4 @@
-package webui
+package server
 
 import (
 	"fmt"
@@ -29,7 +29,7 @@ func TestWebUIDegradedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(eng)
+	srv := New(eng, Options{})
 
 	// Poison via a WAL write fault on a delete attempt.
 	fired := false

@@ -1,4 +1,4 @@
-package webui
+package server
 
 import (
 	"bytes"
@@ -19,6 +19,11 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *core.Engine, *core.IngestResult) {
 	t.Helper()
+	return newTestServerWith(t, Options{})
+}
+
+func newTestServerWith(t *testing.T, opts Options) (*Server, *core.Engine, *core.IngestResult) {
+	t.Helper()
 	eng, err := core.Open(filepath.Join(t.TempDir(), "web.db"), core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +34,7 @@ func newTestServer(t *testing.T) (*Server, *core.Engine, *core.IngestResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(eng), eng, res
+	return New(eng, opts), eng, res
 }
 
 func multipartBody(t *testing.T, field, filename string, content []byte, extra map[string]string) (*bytes.Buffer, string) {
@@ -340,10 +345,8 @@ func TestAdminUploadEmptyNameRejected(t *testing.T) {
 // container over it: the response must be 413 and name the limit, not the
 // old "missing video upload" 400.
 func TestAdminUploadOverLimit413(t *testing.T) {
-	old := maxUploadBytes
-	maxUploadBytes = 4096
-	defer func() { maxUploadBytes = old }()
-	srv, eng, _ := newTestServer(t)
+	const maxUploadBytes = 4096
+	srv, eng, _ := newTestServerWith(t, Options{MaxUploadBytes: maxUploadBytes})
 	v := synthvid.Generate(synthvid.Movie, synthvid.Config{Width: 96, Height: 72, Frames: 12, Shots: 3, Seed: 7})
 	raw, err := cvj.EncodeBytes(v.Frames, v.FPS, 0)
 	if err != nil {
