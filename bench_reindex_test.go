@@ -8,6 +8,7 @@ package cbvr_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -46,7 +47,7 @@ func BenchmarkIngestSpooledBlob(b *testing.B) {
 	b.ReportMetric(float64(len(raw)), "container-bytes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.IngestVideoStream(fmt.Sprintf("clip_%d", i), bytes.NewReader(raw))
+		res, err := sys.IngestVideoStream(context.Background(), fmt.Sprintf("clip_%d", i), bytes.NewReader(raw))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,14 +69,14 @@ func BenchmarkReindex(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer sys.Close()
-	res, err := sys.IngestVideoStream("clip", bytes.NewReader(raw))
+	res, err := sys.IngestVideoStream(context.Background(), "clip", bytes.NewReader(raw))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.ReindexVideo(res.VideoID); err != nil {
+		if _, err := sys.ReindexVideo(context.Background(), res.VideoID); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,6 +14,7 @@ package cbvr_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,7 +99,7 @@ func benchSearch(b *testing.B, opt core.SearchOptions) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := i % len(c.qsets)
-		if _, err := c.sys.Engine().SearchWithSet(c.qsets[q], core.QueryBucket(c.queries[q].Frame), opt); err != nil {
+		if _, _, err := c.sys.Engine().SearchWithSetStats(c.qsets[q], core.QueryBucket(c.queries[q].Frame), opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +208,7 @@ func BenchmarkPipeline_IngestVideo(b *testing.B) {
 	v := synthvid.Generate(synthvid.Cartoon, synthvid.Config{Frames: 24, Shots: 4, Seed: 5})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.IngestFrames(fmt.Sprintf("clip_%d", i), v.Frames, 12); err != nil {
+		if _, err := sys.IngestFrames(context.Background(), fmt.Sprintf("clip_%d", i), v.Frames, 12); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +231,7 @@ func BenchmarkPipeline_IngestSharedPlanes(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.IngestFrames(fmt.Sprintf("shared_clip_%d", i), v.Frames, 12)
+		res, err := sys.IngestFrames(context.Background(), fmt.Sprintf("shared_clip_%d", i), v.Frames, 12)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +264,7 @@ func BenchmarkPipeline_IngestStreamed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.IngestVideoStream(fmt.Sprintf("streamed_%d", i), bytes.NewReader(container))
+		res, err := sys.IngestVideoStream(context.Background(), fmt.Sprintf("streamed_%d", i), bytes.NewReader(container))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +315,7 @@ func BenchmarkPipeline_SearchFrameEndToEnd(b *testing.B) {
 	c := sharedCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.sys.Search(c.frame, cbvr.SearchOptions{K: 20}); err != nil {
+		if _, err := c.sys.Search(context.Background(), c.frame, cbvr.SearchOptions{K: 20}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -325,7 +326,7 @@ func BenchmarkPipeline_SearchVideoDTW(b *testing.B) {
 	v := synthvid.Generate(synthvid.Movie, synthvid.Config{Frames: 16, Shots: 2, Seed: 9})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.sys.SearchVideo(v.Frames, cbvr.SearchOptions{K: 5}); err != nil {
+		if _, err := c.sys.SearchVideo(context.Background(), v.Frames, cbvr.SearchOptions{K: 5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,7 +379,7 @@ func shardedCorpus(b *testing.B) *shardedBenchCorpus {
 			v := synthvid.Generate(cats[i%len(cats)], synthvid.Config{
 				Width: 96, Height: 72, Frames: 40, Shots: 6, Seed: int64(1000 + i),
 			})
-			if _, err := sys.IngestFrames(fmt.Sprintf("%s_%02d", v.Name, i), v.Frames, v.FPS); err != nil {
+			if _, err := sys.IngestFrames(context.Background(), fmt.Sprintf("%s_%02d", v.Name, i), v.Frames, v.FPS); err != nil {
 				shardedErr = err
 				return
 			}
@@ -421,7 +422,7 @@ func benchSearchSharded(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := i % len(c.qsets)
-		if _, err := c.sys.Engine().SearchWithSet(c.qsets[q], c.qbkts[q], opt); err != nil {
+		if _, _, err := c.sys.Engine().SearchWithSetStats(c.qsets[q], c.qbkts[q], opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -502,7 +503,7 @@ func BenchmarkSearchSharded_MinMaxWorkersMax(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := i % len(c.qsets)
-		if _, err := c.sys.Engine().SearchWithSet(c.qsets[q], c.qbkts[q], opt); err != nil {
+		if _, _, err := c.sys.Engine().SearchWithSetStats(c.qsets[q], c.qbkts[q], opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -514,7 +515,7 @@ func BenchmarkAblation_RangePruningOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := i % len(c.qsets)
-		if _, err := c.sys.Engine().SearchWithSet(c.qsets[q], core.QueryBucket(c.queries[q].Frame),
+		if _, _, err := c.sys.Engine().SearchWithSetStats(c.qsets[q], core.QueryBucket(c.queries[q].Frame),
 			core.SearchOptions{K: 20}); err != nil {
 			b.Fatal(err)
 		}
@@ -526,7 +527,7 @@ func BenchmarkAblation_RangePruningOff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := i % len(c.qsets)
-		if _, err := c.sys.Engine().SearchWithSet(c.qsets[q], core.QueryBucket(c.queries[q].Frame),
+		if _, _, err := c.sys.Engine().SearchWithSetStats(c.qsets[q], core.QueryBucket(c.queries[q].Frame),
 			core.SearchOptions{K: 20, NoPruning: true}); err != nil {
 			b.Fatal(err)
 		}
@@ -559,7 +560,7 @@ func BenchmarkAblation_DPAlignment(b *testing.B) {
 	v := synthvid.Generate(synthvid.News, synthvid.Config{Frames: 12, Shots: 2, Seed: 8})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.sys.Engine().SearchVideo(v.Frames, core.SearchOptions{K: 3}); err != nil {
+		if _, err := c.sys.Engine().SearchVideo(context.Background(), v.Frames, core.SearchOptions{K: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}

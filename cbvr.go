@@ -21,11 +21,16 @@
 //	sys, err := cbvr.Open("videos.db", cbvr.Options{})
 //	// … handle err …
 //	defer sys.Close()
-//	res, err := sys.IngestFrames("holiday", frames, 12)
-//	matches, err := sys.Search(queryFrame, cbvr.SearchOptions{K: 10})
+//	ctx := context.Background()
+//	res, err := sys.IngestFrames(ctx, "holiday", frames, 12)
+//	matches, err := sys.Search(ctx, queryFrame, cbvr.SearchOptions{K: 10})
+//
+// Every ingest, search and reindex call takes a context first; cancelling
+// it stops the call at its next check and commits nothing half-done.
 //
 // See the examples directory for runnable programs, DESIGN.md for the
-// architecture and EXPERIMENTS.md for the paper reproduction.
+// architecture, and cmd/cbvr-bench (README, "Reproducing the paper's
+// Table 1") for the paper reproduction.
 package cbvr
 
 import (
@@ -115,42 +120,26 @@ func (s *System) Engine() *core.Engine { return s.eng }
 // the committed snapshot; mutations fail until the process restarts).
 func (s *System) Degraded() error { return s.eng.Degraded() }
 
-// IngestVideo stores a CVJ video container: frames are decoded, key frames
-// selected (threshold 800 over the naive signature), all seven features
-// extracted, the range bucket assigned, and everything committed in one
-// transaction.
-func (s *System) IngestVideo(name string, container []byte) (*IngestResult, error) {
-	return s.eng.IngestVideo(name, container)
-}
-
 // IngestVideoStream ingests a CVJ container directly from a byte stream:
-// frames are decoded one at a time, key frames are selected as they
-// arrive, and feature extraction overlaps the decode of later frames.
-// Non-key frames are never retained, so ingest memory is proportional to
-// the number of key frames plus the compressed container bytes (stored as
-// the VIDEO blob) — never the number of decoded frames. Use this for
-// uploads and files instead of buffering whole decoded clips.
-func (s *System) IngestVideoStream(name string, r io.Reader) (*IngestResult, error) {
-	return s.eng.IngestVideoStream(name, r)
-}
-
-// IngestVideoStreamCtx is IngestVideoStream under a context: cancellation
-// is honoured within one decode iteration, staged blob pages are discarded
-// and nothing commits. Use it to tie an ingest to a client connection or a
-// shutdown signal.
-func (s *System) IngestVideoStreamCtx(ctx context.Context, name string, r io.Reader) (*IngestResult, error) {
-	return s.eng.IngestVideoStreamCtx(ctx, name, r)
+// frames are decoded one at a time, key frames (threshold 800 over the
+// naive signature) are selected as they arrive, and feature extraction
+// overlaps the decode of later frames; everything commits in one
+// transaction. Non-key frames are never retained, so ingest memory is
+// proportional to the number of key frames plus the compressed container
+// bytes (stored as the VIDEO blob) — never the number of decoded frames.
+// For an in-memory container pass bytes.NewReader. Cancelling ctx is
+// honoured within one decode iteration: staged blob pages are discarded
+// and nothing commits, so an ingest can be tied to a client connection or
+// a shutdown signal.
+func (s *System) IngestVideoStream(ctx context.Context, name string, r io.Reader) (*IngestResult, error) {
+	return s.eng.IngestVideoStream(ctx, name, r)
 }
 
 // IngestFrames encodes raw frames as a CVJ container and ingests it.
-func (s *System) IngestFrames(name string, frames []*Image, fps int) (*IngestResult, error) {
-	return s.eng.IngestFrames(name, frames, fps)
-}
-
-// IngestFramesCtx is IngestFrames under a context: cancellation aborts
-// within one frame and commits nothing for the in-flight video.
-func (s *System) IngestFramesCtx(ctx context.Context, name string, frames []*Image, fps int) (*IngestResult, error) {
-	return s.eng.IngestFramesCtx(ctx, name, frames, fps)
+// Cancelling ctx aborts within one frame and commits nothing for the
+// in-flight video.
+func (s *System) IngestFrames(ctx context.Context, name string, frames []*Image, fps int) (*IngestResult, error) {
+	return s.eng.IngestFrames(ctx, name, frames, fps)
 }
 
 // DeleteVideo removes a video and its key frames (the paper's
@@ -160,50 +149,34 @@ func (s *System) DeleteVideo(videoID int64) error { return s.eng.DeleteVideo(vid
 // ReindexVideo re-extracts every descriptor of a stored video from its
 // stored key-frame stream and replaces the feature rows transactionally —
 // no re-upload, and the video stays searchable (old rows) until the new
-// rows commit. Run it after the extraction code changes.
-func (s *System) ReindexVideo(videoID int64) (*ReindexResult, error) {
-	return s.eng.ReindexVideo(videoID)
+// rows commit. Run it after the extraction code changes. Cancelling ctx
+// between stream records leaves the existing feature rows untouched.
+func (s *System) ReindexVideo(ctx context.Context, videoID int64) (*ReindexResult, error) {
+	return s.eng.ReindexVideo(ctx, videoID)
 }
 
-// ReindexVideoCtx is ReindexVideo under a context: cancellation between
-// stream records leaves the existing feature rows untouched.
-func (s *System) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexResult, error) {
-	return s.eng.ReindexVideoCtx(ctx, videoID)
-}
-
-// ReindexAll re-indexes every stored video in V_ID order.
-func (s *System) ReindexAll() ([]*ReindexResult, error) { return s.eng.ReindexAll() }
-
-// ReindexAllCtx is ReindexAll under a context. Videos rebuilt before the
-// cancellation stay rebuilt (each commits independently); the interrupted
-// one is left on its old rows.
-func (s *System) ReindexAllCtx(ctx context.Context) ([]*ReindexResult, error) {
-	return s.eng.ReindexAllCtx(ctx)
+// ReindexAll re-indexes every stored video in V_ID order, skipping videos
+// deleted while the sweep runs. Videos rebuilt before a cancellation of
+// ctx stay rebuilt (each commits independently); the interrupted one is
+// left on its old rows.
+func (s *System) ReindexAll(ctx context.Context) ([]*ReindexResult, error) {
+	return s.eng.ReindexAll(ctx)
 }
 
 // Search ranks stored key frames against a query frame. Scoring fans out
 // across the engine's cache shards; it is safe to call concurrently with
-// other searches and with ingestion.
-func (s *System) Search(query *Image, opts SearchOptions) ([]Match, error) {
-	return s.eng.SearchFrame(query, opts)
-}
-
-// SearchCtx is Search under a context: cancellation stops the shard scan
+// other searches and with ingestion. Cancelling ctx stops the shard scan
 // between shards and returns the context's error.
-func (s *System) SearchCtx(ctx context.Context, query *Image, opts SearchOptions) ([]Match, error) {
-	return s.eng.SearchFrameCtx(ctx, query, opts)
+func (s *System) Search(ctx context.Context, query *Image, opts SearchOptions) ([]Match, error) {
+	return s.eng.SearchFrame(ctx, query, opts)
 }
 
 // SearchVideo ranks stored videos against a query clip using
 // dynamic-programming sequence alignment over key-frame descriptors.
-func (s *System) SearchVideo(queryFrames []*Image, opts SearchOptions) ([]VideoMatch, error) {
-	return s.eng.SearchVideo(queryFrames, opts)
-}
-
-// SearchVideoCtx is SearchVideo under a context: cancellation stops the
-// ranking between per-video alignments and returns the context's error.
-func (s *System) SearchVideoCtx(ctx context.Context, queryFrames []*Image, opts SearchOptions) ([]VideoMatch, error) {
-	return s.eng.SearchVideoCtx(ctx, queryFrames, opts)
+// Cancelling ctx stops the ranking between per-video alignments and
+// returns the context's error.
+func (s *System) SearchVideo(ctx context.Context, queryFrames []*Image, opts SearchOptions) ([]VideoMatch, error) {
+	return s.eng.SearchVideo(ctx, queryFrames, opts)
 }
 
 // EncodeVideo packs frames into the CVJ container format (the system's

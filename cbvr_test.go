@@ -2,6 +2,8 @@ package cbvr_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,11 +29,11 @@ func TestPublicAPIIngestAndSearch(t *testing.T) {
 	if name == "" || fps <= 0 || len(frames) != 12 {
 		t.Fatalf("generator: name=%q fps=%d frames=%d", name, fps, len(frames))
 	}
-	res, err := sys.IngestFrames(name, frames, fps)
+	res, err := sys.IngestFrames(context.Background(), name, frames, fps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := sys.Search(frames[0], cbvr.SearchOptions{K: 3})
+	matches, err := sys.Search(context.Background(), frames[0], cbvr.SearchOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestPublicAPIIngestContainer(t *testing.T) {
 	if err := cbvr.EncodeVideo(&buf, frames, fps, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.IngestVideo("news-clip", buf.Bytes())
+	res, err := sys.IngestVideoStream(context.Background(), "news-clip", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +108,13 @@ func TestPublicAPISearchVideo(t *testing.T) {
 	for _, cat := range []cbvr.Category{cbvr.CategorySports, cbvr.CategoryNature} {
 		cfg.Seed = int64(cat) + 20
 		name, frames, fps := cbvr.GenerateVideo(cat, cfg)
-		if _, err := sys.IngestFrames(name, frames, fps); err != nil {
+		if _, err := sys.IngestFrames(context.Background(), name, frames, fps); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cfg.Seed = int64(cbvr.CategorySports) + 20
 	_, q, _ := cbvr.GenerateVideo(cbvr.CategorySports, cfg)
-	matches, err := sys.SearchVideo(q, cbvr.SearchOptions{K: 2})
+	matches, err := sys.SearchVideo(context.Background(), q, cbvr.SearchOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,18 +162,77 @@ func TestPublicAPIIngestVideoStream(t *testing.T) {
 	if err := cbvr.EncodeVideo(&buf, frames, fps, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.IngestVideoStream("streamed", &buf)
+	res, err := sys.IngestVideoStream(context.Background(), "streamed", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumFrames != len(frames) || len(res.KeyFrameIDs) == 0 {
 		t.Fatalf("result: %+v", res)
 	}
-	matches, err := sys.Search(frames[0], cbvr.SearchOptions{K: 1})
+	matches, err := sys.Search(context.Background(), frames[0], cbvr.SearchOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(matches) != 1 || matches[0].VideoID != res.VideoID {
 		t.Errorf("self search after streamed ingest: %+v", matches)
+	}
+}
+
+// TestPublicAPIForwardsContext calls every context-taking System method
+// with an already-cancelled context: each must fail with context.Canceled
+// and leave the store's row counts untouched, so a facade method that
+// dropped its ctx would be caught here.
+func TestPublicAPIForwardsContext(t *testing.T) {
+	sys := openSystem(t)
+	name, frames, fps := cbvr.GenerateVideo(cbvr.CategorySports, cbvr.VideoConfig{
+		Width: 96, Height: 72, Frames: 12, Shots: 2, Seed: 8,
+	})
+	res, err := sys.IngestFrames(context.Background(), name, frames, fps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var container bytes.Buffer
+	if err := cbvr.EncodeVideo(&container, frames, fps, 0); err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (int, int) {
+		t.Helper()
+		st := sys.Engine().Store()
+		videos, err := st.CountVideos(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyFrames, err := st.CountKeyFrames(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return videos, keyFrames
+	}
+	videos, keyFrames := counts()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := cbvr.SearchOptions{K: 3}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"IngestFrames", func() error { _, err := sys.IngestFrames(ctx, "cancelled", frames, fps); return err }},
+		{"IngestVideoStream", func() error {
+			_, err := sys.IngestVideoStream(ctx, "cancelled", bytes.NewReader(container.Bytes()))
+			return err
+		}},
+		{"Search", func() error { _, err := sys.Search(ctx, frames[0], opts); return err }},
+		{"SearchVideo", func() error { _, err := sys.SearchVideo(ctx, frames, opts); return err }},
+		{"ReindexVideo", func() error { _, err := sys.ReindexVideo(ctx, res.VideoID); return err }},
+		{"ReindexAll", func() error { _, err := sys.ReindexAll(ctx); return err }},
+	} {
+		if err := tc.call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with a cancelled context: %v, want context.Canceled", tc.name, err)
+		}
+		if v, k := counts(); v != videos || k != keyFrames {
+			t.Errorf("%s with a cancelled context: %d videos / %d key frames, want %d / %d",
+				tc.name, v, k, videos, keyFrames)
+		}
 	}
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -204,13 +205,13 @@ func runAblations(eng *core.Engine, cfg eval.Table1Config) {
 	agreeTop1 := 0
 	for _, q := range qs {
 		t0 := time.Now()
-		p, err := eng.SearchFrame(q.Frame, core.SearchOptions{K: 1})
+		p, err := eng.SearchFrame(context.Background(), q.Frame, core.SearchOptions{K: 1})
 		prunedTime += time.Since(t0)
 		if err != nil {
 			fatal(err)
 		}
 		t0 = time.Now()
-		f, err := eng.SearchFrame(q.Frame, core.SearchOptions{K: 1, NoPruning: true})
+		f, err := eng.SearchFrame(context.Background(), q.Frame, core.SearchOptions{K: 1, NoPruning: true})
 		fullTime += time.Since(t0)
 		if err != nil {
 			fatal(err)
@@ -242,7 +243,7 @@ func runAblations(eng *core.Engine, cfg eval.Table1Config) {
 	for _, cat := range synthvid.AllCategories() {
 		qv := synthvid.Generate(cat, synthvid.Config{Frames: 24, Shots: 3, Seed: cfg.Seed + 555})
 		qframes := qv.Frames[:min(len(qv.Frames), 8)]
-		dp, err := eng.SearchVideo(qframes, core.SearchOptions{K: 1})
+		dp, err := eng.SearchVideo(context.Background(), qframes, core.SearchOptions{K: 1})
 		if err != nil {
 			fatal(err)
 		}
@@ -317,7 +318,7 @@ func measureP20(eng *core.Engine, qs []eval.Query, opt core.SearchOptions) float
 	opt.NoPruning = true
 	var ps []float64
 	for _, q := range qs {
-		matches, err := eng.SearchFrame(q.Frame, opt)
+		matches, err := eng.SearchFrame(context.Background(), q.Frame, opt)
 		if err != nil {
 			fatal(err)
 		}

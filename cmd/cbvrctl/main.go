@@ -132,7 +132,7 @@ func cmdGen(ctx context.Context, args []string) error {
 	// half-way — completed videos stay committed, the in-flight one
 	// aborts clean.
 	for name, imgs := range corpus {
-		res, err := sys.IngestFramesCtx(ctx, name, imgs, 12)
+		res, err := sys.IngestFrames(ctx, name, imgs, 12)
 		if err != nil {
 			return err
 		}
@@ -176,7 +176,7 @@ func cmdIngest(ctx context.Context, args []string) error {
 	defer sys.Close()
 	// Stream the container from disk: constant-memory ingest regardless of
 	// clip length, and ^C aborts within one decode iteration.
-	res, err := sys.IngestVideoStreamCtx(ctx, *name, f)
+	res, err := sys.IngestVideoStream(ctx, *name, f)
 	if err != nil {
 		return err
 	}
@@ -262,7 +262,7 @@ func cmdQuery(ctx context.Context, args []string) error {
 		return err
 	}
 	defer sys.Close()
-	matches, err := sys.SearchCtx(ctx, query, cbvr.SearchOptions{K: *k, Kinds: kinds, NoPruning: *noPrune})
+	matches, err := sys.Search(ctx, query, cbvr.SearchOptions{K: *k, Kinds: kinds, NoPruning: *noPrune})
 	if err != nil {
 		return err
 	}
@@ -296,7 +296,7 @@ func cmdQueryVid(ctx context.Context, args []string) error {
 		return err
 	}
 	defer sys.Close()
-	matches, err := sys.SearchVideoCtx(ctx, frames, cbvr.SearchOptions{K: *k})
+	matches, err := sys.SearchVideo(ctx, frames, cbvr.SearchOptions{K: *k})
 	if err != nil {
 		return err
 	}
@@ -411,7 +411,7 @@ func cmdReindex(ctx context.Context, args []string) error {
 	defer sys.Close()
 	var results []*cbvr.ReindexResult
 	if *id != 0 {
-		res, err := sys.ReindexVideoCtx(ctx, *id)
+		res, err := sys.ReindexVideo(ctx, *id)
 		if err != nil {
 			return err
 		}
@@ -420,7 +420,7 @@ func cmdReindex(ctx context.Context, args []string) error {
 		// Partial results still print: each video commits independently,
 		// so completed rebuilds are durable even if a later one fails (or
 		// the sweep is interrupted).
-		results, err = sys.ReindexAllCtx(ctx)
+		results, err = sys.ReindexAll(ctx)
 	}
 	for _, r := range results {
 		fmt.Printf("reindexed %-20s video=%d keyframes=%d\n", r.VideoName, r.VideoID, r.KeyFrames)

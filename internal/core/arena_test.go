@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -45,7 +46,7 @@ func checkArenaAgainstReference(t *testing.T, eng *Engine, qset *features.Set, q
 		}
 		for _, workers := range []int{1, 2, 0} {
 			opt.Workers = workers
-			got, err := eng.SearchWithSet(qset, qbucket, opt)
+			got, _, err := eng.SearchWithSetStats(qset, qbucket, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +91,7 @@ func TestArenaChurnBitIdentity(t *testing.T) {
 				default:
 				}
 				opt := SearchOptions{K: 4, Fusion: Fusion(i % 2), NoPruning: i%2 == 0, Workers: s}
-				if _, err := eng.SearchWithSet(qset, qbucket, opt); err != nil {
+				if _, _, err := eng.SearchWithSetStats(qset, qbucket, opt); err != nil {
 					searchErr.Store(err)
 					return
 				}
@@ -115,14 +116,14 @@ func TestArenaChurnBitIdentity(t *testing.T) {
 		cv := synthvid.Generate(synthvid.Movie, synthvid.Config{
 			Width: 48, Height: 36, Frames: 6, Shots: 2, Seed: int64(700 + round),
 		})
-		res, err := eng.IngestFrames(fmt.Sprintf("churn_%d", round), cv.Frames, cv.FPS)
+		res, err := eng.IngestFrames(context.Background(), fmt.Sprintf("churn_%d", round), cv.Frames, cv.FPS)
 		if err != nil {
 			t.Fatal(err)
 		}
 		churnIDs = append(churnIDs, res.VideoID)
 		check(fmt.Sprintf("round %d after ingest", round))
 
-		if _, err := eng.ReindexVideo(res.VideoID); err != nil {
+		if _, err := eng.ReindexVideo(context.Background(), res.VideoID); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("round %d after reindex", round))
@@ -136,7 +137,7 @@ func TestArenaChurnBitIdentity(t *testing.T) {
 			check(fmt.Sprintf("round %d after delete", round))
 		}
 	}
-	if _, err := eng.ReindexVideo(seed.VideoID); err != nil {
+	if _, err := eng.ReindexVideo(context.Background(), seed.VideoID); err != nil {
 		t.Fatal(err)
 	}
 	check("after seed reindex")
@@ -213,7 +214,7 @@ func TestArenaSlotReuseAndConsistency(t *testing.T) {
 		t.Fatalf("baseline: %d slots, %d live", slots0, live0)
 	}
 
-	res, err := eng.IngestFrames("tmp", genVideo(synthvid.Movie, 621).Frames, 12)
+	res, err := eng.IngestFrames(context.Background(), "tmp", genVideo(synthvid.Movie, 621).Frames, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestArenaSlotReuseAndConsistency(t *testing.T) {
 
 	// Re-ingesting a clip with no more key frames than were freed must
 	// not grow the columns: every new entry lands in a recycled slot.
-	res2, err := eng.IngestFrames("tmp2", genVideo(synthvid.Movie, 621).Frames, 12)
+	res2, err := eng.IngestFrames(context.Background(), "tmp2", genVideo(synthvid.Movie, 621).Frames, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestArenaMissingDescriptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.SearchWithSet(qset, qbucket, opt)
+	got, _, err := eng.SearchWithSetStats(qset, qbucket, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestBrownoutZeroIsInert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.SearchWithSet(q.Set, q.Bucket, sopt)
+		got, _, err := eng.SearchWithSetStats(q.Set, q.Bucket, sopt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestBrownoutRefusesFullRank(t *testing.T) {
 	q := synthvid.ClusterQueries(synthvid.ClusterCorpusConfig{Frames: 64, Seed: 5}, 1)[0]
 
 	eng.SetBrownout(BrownoutRefuseFullRank)
-	if _, err := eng.SearchWithSet(q.Set, q.Bucket, SearchOptions{}); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("K=0 frame search at refusal level: %v, want ErrOverloaded", err)
 	}
 	qsets := []*features.Set{frames[0].Set}
@@ -177,7 +177,7 @@ func TestBrownoutRefusesFullRank(t *testing.T) {
 		t.Fatalf("K=0 video search at refusal level: %v, want ErrOverloaded", err)
 	}
 	// Bounded searches still serve at the same level.
-	if _, err := eng.SearchWithSet(q.Set, q.Bucket, SearchOptions{K: 5}); err != nil {
+	if _, _, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{K: 5}); err != nil {
 		t.Fatalf("bounded search at refusal level: %v", err)
 	}
 	if _, err := eng.searchVideoSets(context.Background(), qsets, SearchOptions{K: 2}); err != nil {
@@ -185,7 +185,7 @@ func TestBrownoutRefusesFullRank(t *testing.T) {
 	}
 	// Below the refusal level the full ranking is served again.
 	eng.SetBrownout(BrownoutRefuseFullRank / 2)
-	if _, err := eng.SearchWithSet(q.Set, q.Bucket, SearchOptions{}); err != nil {
+	if _, _, err := eng.SearchWithSetStats(q.Set, q.Bucket, SearchOptions{}); err != nil {
 		t.Fatalf("K=0 search below refusal level: %v", err)
 	}
 }

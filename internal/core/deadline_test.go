@@ -80,7 +80,7 @@ func TestSearchDeadlineMidScan(t *testing.T) {
 	// deadline. Workers=1 serialises the shard loop so "mid-scan" is
 	// deterministic, not a race between workers.
 	ctx := &countdownCtx{Context: context.Background(), remaining: 1}
-	_, err := eng.SearchFrameCtx(ctx, q, SearchOptions{Workers: 1})
+	_, err := eng.SearchFrame(ctx, q, SearchOptions{Workers: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-scan deadline returned %v, want context.DeadlineExceeded", err)
 	}
@@ -88,12 +88,12 @@ func TestSearchDeadlineMidScan(t *testing.T) {
 	// An already-expired real deadline behaves identically.
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := eng.SearchFrameCtx(expired, q, SearchOptions{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := eng.SearchFrame(expired, q, SearchOptions{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired-deadline search returned %v, want context.DeadlineExceeded", err)
 	}
 
 	// The engine still serves once the pressure is an old story.
-	if _, err := eng.SearchFrameCtx(context.Background(), q, SearchOptions{}); err != nil {
+	if _, err := eng.SearchFrame(context.Background(), q, SearchOptions{}); err != nil {
 		t.Fatalf("live search after deadline expiries: %v", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestIngestDeadlineMidDecode(t *testing.T) {
 
 	ctx := newManualDeadlineCtx()
 	dr := &deadlineAfterReader{r: bytes.NewReader(raw), n: len(raw) / 3, ctx: ctx}
-	if _, err := eng.IngestVideoStreamCtx(ctx, "doomed", dr); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := eng.IngestVideoStream(ctx, "doomed", dr); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline-expired ingest returned %v, want context.DeadlineExceeded", err)
 	}
 	if dr.afterExpiry > len(raw)/3 {
@@ -170,7 +170,7 @@ func TestIngestDeadlineMidDecode(t *testing.T) {
 	if n, err := eng2.CacheSize(); err != nil || n != 0 {
 		t.Fatalf("reopened cache: n=%d err=%v", n, err)
 	}
-	if _, err := eng2.IngestVideoStreamCtx(context.Background(), "retry", bytes.NewReader(raw)); err != nil {
+	if _, err := eng2.IngestVideoStream(context.Background(), "retry", bytes.NewReader(raw)); err != nil {
 		t.Fatalf("re-ingest after deadline expiry: %v", err)
 	}
 }

@@ -95,7 +95,7 @@ type SearchOptions struct {
 	Workers int
 
 	// brownout is the engine's load-shedding level sampled once at search
-	// start (searchSetStats), so every shard of one search shrinks its
+	// start (searchSet), so every shard of one search shrinks its
 	// probe budget by the same amount even if the level moves mid-flight.
 	brownout float64
 }
@@ -317,16 +317,11 @@ func (e *Engine) workers() int {
 
 // IngestFrames encodes frames as a CVJ container and ingests it. A frame
 // that fails JPEG encoding aborts here, deterministically naming the first
-// failing frame, before any database transaction begins.
-func (e *Engine) IngestFrames(name string, frames []*imaging.Image, fps int) (*IngestResult, error) {
-	return e.IngestFramesCtx(context.Background(), name, frames, fps)
-}
-
-// IngestFramesCtx is IngestFrames under a request context: the ingest's
-// decode loop checks cancellation between frames (the encode itself is
-// in-memory and quick), so aborting a corpus load stops within one frame
-// and commits nothing for the in-flight video.
-func (e *Engine) IngestFramesCtx(ctx context.Context, name string, frames []*imaging.Image, fps int) (*IngestResult, error) {
+// failing frame, before any database transaction begins. The ingest's
+// decode loop checks ctx between frames (the encode itself is in-memory
+// and quick), so aborting a corpus load stops within one frame and
+// commits nothing for the in-flight video.
+func (e *Engine) IngestFrames(ctx context.Context, name string, frames []*imaging.Image, fps int) (*IngestResult, error) {
 	if len(frames) == 0 {
 		return nil, errors.New("core: no frames to ingest")
 	}
@@ -334,36 +329,7 @@ func (e *Engine) IngestFramesCtx(ctx context.Context, name string, frames []*ima
 	if err != nil {
 		return nil, fmt.Errorf("core: ingest %q: %w", name, err)
 	}
-	return e.ingestStream(ctx, name, bytes.NewReader(container))
-}
-
-// IngestVideo runs the full ingest pipeline on an in-memory CVJ container.
-// It is a thin wrapper over the streaming path (see IngestVideoStream).
-func (e *Engine) IngestVideo(name string, container []byte) (*IngestResult, error) {
-	return e.ingestStream(context.Background(), name, bytes.NewReader(container))
-}
-
-// IngestVideoStream runs the full ingest pipeline directly from a
-// container byte stream: frames are decoded one at a time, §4.1 key-frame
-// selection runs as they arrive, and each selected key frame is handed to
-// a bounded worker pool that extracts features (§4.3–4.8) and the §4.2
-// range bucket while later frames are still being decoded. Non-key frames
-// are never retained, so ingest memory is proportional to the number of
-// key frames (plus the compressed container bytes), not the number of
-// frames. Stored key-frame images and the key-frame stream reuse the
-// container's original JPEG records; the §4.1 selection signature is
-// installed into each key frame's descriptor set instead of being
-// recomputed. See DESIGN.md ("Streamed ingest").
-func (e *Engine) IngestVideoStream(name string, r io.Reader) (*IngestResult, error) {
-	return e.ingestStream(context.Background(), name, r)
-}
-
-// IngestVideoStreamCtx is IngestVideoStream under a request context: the
-// decode loop checks cancellation between frames, so an abort takes effect
-// within one decode iteration, discards the staged spool pages and commits
-// nothing — the store is untouched, as if the request never arrived.
-func (e *Engine) IngestVideoStreamCtx(ctx context.Context, name string, r io.Reader) (*IngestResult, error) {
-	return e.ingestStream(ctx, name, r)
+	return e.IngestVideoStream(ctx, name, bytes.NewReader(container))
 }
 
 // kfWork carries one selected key frame through the extraction pool.
@@ -416,9 +382,20 @@ func (s *streamFrameSource) Next() (*imaging.Image, error) {
 	return f.Image.RescaleInto(s.pool.get(), features.AnalysisSize, features.AnalysisSize), nil
 }
 
-// ingestStream is the shared ingest pipeline behind IngestVideo and
-// IngestVideoStream(Ctx). It runs in two phases so concurrent clients
-// only serialize on a short commit section, never on the expensive work:
+// IngestVideoStream runs the full ingest pipeline directly from a
+// container byte stream: frames are decoded one at a time, §4.1 key-frame
+// selection runs as they arrive, and each selected key frame is handed to
+// a bounded worker pool that extracts features (§4.3–4.8) and the §4.2
+// range bucket while later frames are still being decoded. Non-key frames
+// are never retained, so ingest memory is proportional to the number of
+// key frames (plus the compressed container bytes), not the number of
+// frames. Stored key-frame images and the key-frame stream reuse the
+// container's original JPEG records; the §4.1 selection signature is
+// installed into each key frame's descriptor set instead of being
+// recomputed. See DESIGN.md ("Streamed ingest").
+//
+// It runs in two phases so concurrent clients only serialize on a short
+// commit section, never on the expensive work:
 //
 //  1. Stage — container records are decoded, appended to a *staged* blob
 //     chain (vstore.NewStagedBlobWriter: fresh file-extension pages
@@ -439,10 +416,11 @@ func (s *streamFrameSource) Next() (*imaging.Image, error) {
 //
 // All failure paths run on the decode loop, so errors are deterministic —
 // the first failing frame in stream order wins — and every early exit
-// (including context cancellation, checked once per decode iteration)
+// (including cancellation of ctx, checked once per decode iteration)
 // discards the staged chains: their pages become unreachable file
-// garbage and nothing commits.
-func (e *Engine) ingestStream(ctx context.Context, name string, r io.Reader) (*IngestResult, error) {
+// garbage and nothing commits — the store is untouched, as if the
+// request never arrived.
+func (e *Engine) IngestVideoStream(ctx context.Context, name string, r io.Reader) (*IngestResult, error) {
 	fail := func(err error) (*IngestResult, error) {
 		return nil, fmt.Errorf("core: ingest %q: %w", name, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -27,7 +28,7 @@ func genVideo(cat synthvid.Category, seed int64) *synthvid.Video {
 func ingest(t *testing.T, eng *Engine, name string, cat synthvid.Category, seed int64) *IngestResult {
 	t.Helper()
 	v := genVideo(cat, seed)
-	res, err := eng.IngestFrames(name, v.Frames, v.FPS)
+	res, err := eng.IngestFrames(context.Background(), name, v.Frames, v.FPS)
 	if err != nil {
 		t.Fatalf("ingest %s: %v", name, err)
 	}
@@ -97,7 +98,7 @@ func TestSearchFindsOwnKeyFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := v.Frames[kfs[0].FrameIndex]
-	matches, err := eng.SearchFrame(query, SearchOptions{K: 5})
+	matches, err := eng.SearchFrame(context.Background(), query, SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSearchSingleFeatureSubset(t *testing.T) {
 	ingest(t, eng, "cartoon_00", synthvid.Cartoon, 21)
 	v := genVideo(synthvid.Cartoon, 22)
 	for _, kind := range features.AllKinds() {
-		m, err := eng.SearchFrame(v.Frames[0], SearchOptions{K: 3, Kinds: []features.Kind{kind}})
+		m, err := eng.SearchFrame(context.Background(), v.Frames[0], SearchOptions{K: 3, Kinds: []features.Kind{kind}})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -139,11 +140,11 @@ func TestSearchPruningSubsetOfFull(t *testing.T) {
 		ingest(t, eng, "elearn", synthvid.Elearning, 40+i)
 	}
 	v := genVideo(synthvid.Movie, 99)
-	full, err := eng.SearchFrame(v.Frames[2], SearchOptions{NoPruning: true})
+	full, err := eng.SearchFrame(context.Background(), v.Frames[2], SearchOptions{NoPruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := eng.SearchFrame(v.Frames[2], SearchOptions{})
+	pruned, err := eng.SearchFrame(context.Background(), v.Frames[2], SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestSearchVideoRanksOwnCategoryFirst(t *testing.T) {
 
 	// The identical sports clip must beat the others at video level.
 	v := genVideo(synthvid.Sports, 50)
-	matches, err := eng.SearchVideo(v.Frames, SearchOptions{})
+	matches, err := eng.SearchVideo(context.Background(), v.Frames, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestDeleteVideoRemovesFromSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := genVideo(synthvid.Nature, 60)
-	matches, err := eng.SearchFrame(v.Frames[0], SearchOptions{NoPruning: true})
+	matches, err := eng.SearchFrame(context.Background(), v.Frames[0], SearchOptions{NoPruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := genVideo(synthvid.Cartoon, 70)
-	if _, err := eng.IngestFrames("c", v.Frames, v.FPS); err != nil {
+	if _, err := eng.IngestFrames(context.Background(), "c", v.Frames, v.FPS); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -231,7 +232,7 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
-	matches, err := eng2.SearchFrame(v.Frames[0], SearchOptions{K: 1})
+	matches, err := eng2.SearchFrame(context.Background(), v.Frames[0], SearchOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestQueryBucketValid(t *testing.T) {
 func TestSearchEmptyDB(t *testing.T) {
 	eng := openTestEngine(t)
 	v := genVideo(synthvid.News, 90)
-	matches, err := eng.SearchFrame(v.Frames[0], SearchOptions{K: 10})
+	matches, err := eng.SearchFrame(context.Background(), v.Frames[0], SearchOptions{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestFusionModesBothRank(t *testing.T) {
 	ingest(t, eng, "cartoon_00", synthvid.Cartoon, 202)
 	v := genVideo(synthvid.Sports, 201)
 	for _, fusion := range []Fusion{FusionRRF, FusionMinMax} {
-		m, err := eng.SearchFrame(v.Frames[0], SearchOptions{K: 5, Fusion: fusion, NoPruning: true})
+		m, err := eng.SearchFrame(context.Background(), v.Frames[0], SearchOptions{K: 5, Fusion: fusion, NoPruning: true})
 		if err != nil {
 			t.Fatalf("fusion %d: %v", fusion, err)
 		}
@@ -291,13 +292,13 @@ func TestMinMaxWeightsShiftRanking(t *testing.T) {
 	v := genVideo(synthvid.News, 212)
 	kinds := []features.Kind{features.KindHistogram, features.KindGLCM}
 	// All weight on histogram must equal a histogram-only search order.
-	weighted, err := eng.SearchFrame(v.Frames[0], SearchOptions{
+	weighted, err := eng.SearchFrame(context.Background(), v.Frames[0], SearchOptions{
 		Kinds: kinds, Weights: []float64{1, 0}, Fusion: FusionMinMax, NoPruning: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	histOnly, err := eng.SearchFrame(v.Frames[0], SearchOptions{
+	histOnly, err := eng.SearchFrame(context.Background(), v.Frames[0], SearchOptions{
 		Kinds: []features.Kind{features.KindHistogram}, NoPruning: true,
 	})
 	if err != nil {

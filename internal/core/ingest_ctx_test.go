@@ -51,7 +51,7 @@ func TestIngestCtxCancelMidDecode(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cr := &cancelAfterReader{r: bytes.NewReader(raw), n: len(raw) / 3, cancel: cancel}
-	if _, err := eng.IngestVideoStreamCtx(ctx, "doomed", cr); !errors.Is(err, context.Canceled) {
+	if _, err := eng.IngestVideoStream(ctx, "doomed", cr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ingest returned %v, want context.Canceled", err)
 	}
 	// The decode loop checks cancellation every iteration, so it must not
@@ -90,7 +90,7 @@ func TestIngestCtxCancelMidDecode(t *testing.T) {
 	if len(vids) != 0 {
 		t.Fatalf("reopened store has %d orphan videos", len(vids))
 	}
-	res, err := eng2.IngestVideoStreamCtx(context.Background(), "retry", bytes.NewReader(raw))
+	res, err := eng2.IngestVideoStream(context.Background(), "retry", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("re-ingest after cancel: %v", err)
 	}
@@ -126,12 +126,12 @@ func TestConcurrentIngestOverlap(t *testing.T) {
 	errA := make(chan error, 1)
 	errB := make(chan error, 1)
 	go func() {
-		_, err := eng.IngestVideoStreamCtx(context.Background(), "A", bytes.NewReader(rawA))
+		_, err := eng.IngestVideoStream(context.Background(), "A", bytes.NewReader(rawA))
 		errA <- err
 	}()
 	<-aInCommit // A holds the writer lock and is parked
 	go func() {
-		_, err := eng.IngestVideoStreamCtx(context.Background(), "B", bytes.NewReader(rawB))
+		_, err := eng.IngestVideoStream(context.Background(), "B", bytes.NewReader(rawB))
 		errB <- err
 	}()
 	// B finishing its staging phase while A is wedged in commit is the
@@ -157,7 +157,7 @@ func TestConcurrentIngestOverlap(t *testing.T) {
 	// Both commits landed intact: every stored row is scoreable and the
 	// sharded search agrees with the reference over the combined store.
 	q := genVideo(synthvid.Cartoon, 21).Frames[0]
-	got, err := eng.SearchFrame(q, SearchOptions{})
+	got, err := eng.SearchFrame(context.Background(), q, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +173,10 @@ func TestIngestEmptyNameRejected(t *testing.T) {
 	eng := openTestEngine(t)
 	raw, _ := testContainer(t, synthvid.Cartoon, 31, 8)
 	for _, name := range []string{"", "   ", "\t\n"} {
-		if _, err := eng.IngestVideo(name, raw); !errors.Is(err, ErrEmptyName) {
+		if _, err := eng.IngestVideoStream(context.Background(), name, bytes.NewReader(raw)); !errors.Is(err, ErrEmptyName) {
 			t.Errorf("IngestVideo(%q): %v, want ErrEmptyName", name, err)
 		}
-		if _, err := eng.IngestVideoStream(name, bytes.NewReader(raw)); !errors.Is(err, ErrEmptyName) {
+		if _, err := eng.IngestVideoStream(context.Background(), name, bytes.NewReader(raw)); !errors.Is(err, ErrEmptyName) {
 			t.Errorf("IngestVideoStream(%q): %v, want ErrEmptyName", name, err)
 		}
 		if _, err := eng.IngestVideoReference(name, raw); !errors.Is(err, ErrEmptyName) {
@@ -200,10 +200,10 @@ func TestSearchFrameCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := genVideo(synthvid.Cartoon, 41).Frames[0]
-	if _, err := eng.SearchFrameCtx(ctx, q, SearchOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := eng.SearchFrame(ctx, q, SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search returned %v, want context.Canceled", err)
 	}
-	if _, err := eng.SearchFrameCtx(context.Background(), q, SearchOptions{}); err != nil {
+	if _, err := eng.SearchFrame(context.Background(), q, SearchOptions{}); err != nil {
 		t.Fatalf("live search after cancelled one: %v", err)
 	}
 }
@@ -219,7 +219,7 @@ func TestReindexCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.ReindexVideoCtx(ctx, res.VideoID); !errors.Is(err, context.Canceled) {
+	if _, err := eng.ReindexVideo(ctx, res.VideoID); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled reindex returned %v, want context.Canceled", err)
 	}
 	after, err := eng.Store().KeyFramesOfVideo(nil, res.VideoID)
@@ -245,7 +245,7 @@ func TestIngestFramesCtxCancelled(t *testing.T) {
 	v := genVideo(synthvid.Cartoon, 61)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.IngestFramesCtx(ctx, "doomed", v.Frames, v.FPS); !errors.Is(err, context.Canceled) {
+	if _, err := eng.IngestFrames(ctx, "doomed", v.Frames, v.FPS); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled IngestFramesCtx returned %v, want context.Canceled", err)
 	}
 	vids, err := eng.Store().ListVideos(nil)
@@ -255,7 +255,7 @@ func TestIngestFramesCtxCancelled(t *testing.T) {
 	if len(vids) != 0 {
 		t.Fatalf("cancelled ingest committed %d video(s)", len(vids))
 	}
-	if _, err := eng.IngestFramesCtx(context.Background(), "alive", v.Frames, v.FPS); err != nil {
+	if _, err := eng.IngestFrames(context.Background(), "alive", v.Frames, v.FPS); err != nil {
 		t.Fatalf("live ingest after cancelled one: %v", err)
 	}
 }
@@ -269,10 +269,10 @@ func TestSearchVideoCtxCancelled(t *testing.T) {
 	q := genVideo(synthvid.Cartoon, 71).Frames[:3]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.SearchVideoCtx(ctx, q, SearchOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := eng.SearchVideo(ctx, q, SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled SearchVideoCtx returned %v, want context.Canceled", err)
 	}
-	got, err := eng.SearchVideoCtx(context.Background(), q, SearchOptions{})
+	got, err := eng.SearchVideo(context.Background(), q, SearchOptions{})
 	if err != nil {
 		t.Fatalf("live clip search after cancelled one: %v", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -77,10 +78,10 @@ func TestStreamedIngestBitIdenticalRows(t *testing.T) {
 	}
 	paths := []path{
 		{"stream", func(e *Engine) (*IngestResult, error) {
-			return e.IngestVideoStream("clip", bytes.NewReader(raw))
+			return e.IngestVideoStream(context.Background(), "clip", bytes.NewReader(raw))
 		}},
 		{"buffered", func(e *Engine) (*IngestResult, error) {
-			return e.IngestVideo("clip", raw)
+			return e.IngestVideoStream(context.Background(), "clip", bytes.NewReader(raw))
 		}},
 		{"reference", func(e *Engine) (*IngestResult, error) {
 			return e.IngestVideoReference("clip", raw)
@@ -154,7 +155,7 @@ func TestIngestStoresOriginalJPEGBytes(t *testing.T) {
 	}
 
 	eng := openTestEngine(t)
-	res, err := eng.IngestVideoStream("clip", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStream(context.Background(), "clip", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestIngestTruncatedContainerFailsCleanly(t *testing.T) {
 	raw, v := testContainer(t, synthvid.News, 33, 12)
 	eng := openTestEngine(t)
 	for _, cut := range []int{len(raw) - 6, len(raw) / 2, 30} {
-		_, err := eng.IngestVideoStream("trunc", bytes.NewReader(raw[:cut]))
+		_, err := eng.IngestVideoStream(context.Background(), "trunc", bytes.NewReader(raw[:cut]))
 		if err == nil {
 			t.Fatalf("cut %d: truncated container accepted", cut)
 		}
@@ -202,11 +203,11 @@ func TestIngestTruncatedContainerFailsCleanly(t *testing.T) {
 		t.Fatalf("%d key frames committed from truncated containers", n)
 	}
 	// The engine still ingests and searches normally afterwards.
-	res, err := eng.IngestVideo("ok", raw)
+	res, err := eng.IngestVideoStream(context.Background(), "ok", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := eng.SearchFrame(v.Frames[0], SearchOptions{K: 1})
+	m, err := eng.SearchFrame(context.Background(), v.Frames[0], SearchOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestIngestCorruptMidStreamDeterministic(t *testing.T) {
 	eng := openTestEngine(t)
 	var msgs []string
 	for attempt := 0; attempt < 2; attempt++ {
-		_, err := eng.IngestVideoStream("corrupt", bytes.NewReader(corrupt))
+		_, err := eng.IngestVideoStream(context.Background(), "corrupt", bytes.NewReader(corrupt))
 		if err == nil {
 			t.Fatal("corrupt container accepted")
 		}
@@ -270,7 +271,7 @@ func TestIngestFramesMidBatchEncodeFailure(t *testing.T) {
 
 	var msgs []string
 	for attempt := 0; attempt < 2; attempt++ {
-		_, err := eng.IngestFrames("bad", bad, v.FPS)
+		_, err := eng.IngestFrames(context.Background(), "bad", bad, v.FPS)
 		if err == nil {
 			t.Fatal("unencodable frame accepted")
 		}
@@ -285,7 +286,7 @@ func TestIngestFramesMidBatchEncodeFailure(t *testing.T) {
 	if n, _ := eng.Store().CountVideos(nil); n != 0 {
 		t.Fatalf("%d videos committed after encode failure", n)
 	}
-	if _, err := eng.IngestFrames("good", v.Frames, v.FPS); err != nil {
+	if _, err := eng.IngestFrames(context.Background(), "good", v.Frames, v.FPS); err != nil {
 		t.Fatalf("engine unusable after encode failure: %v", err)
 	}
 }
@@ -323,7 +324,7 @@ func TestConcurrentStreamIngestSearchChurn(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				m, err := eng.SearchWithSet(qset, qbucket, SearchOptions{K: 3, NoPruning: i%2 == 0})
+				m, _, err := eng.SearchWithSetStats(qset, qbucket, SearchOptions{K: 3, NoPruning: i%2 == 0})
 				if err != nil {
 					errCh <- err
 					return
@@ -341,7 +342,7 @@ func TestConcurrentStreamIngestSearchChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				c := containers[(g*4+i)%len(containers)]
-				res, err := eng.IngestVideoStream(fmt.Sprintf("churn_%d_%d", g, i), bytes.NewReader(c))
+				res, err := eng.IngestVideoStream(context.Background(), fmt.Sprintf("churn_%d_%d", g, i), bytes.NewReader(c))
 				if err != nil {
 					errCh <- err
 					return
@@ -358,7 +359,7 @@ func TestConcurrentStreamIngestSearchChurn(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	m, err := eng.SearchWithSet(qset, qbucket, SearchOptions{K: 1})
+	m, _, err := eng.SearchWithSetStats(qset, qbucket, SearchOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,8 +378,12 @@ func TestIngestEmptyContainer(t *testing.T) {
 	}
 	eng := openTestEngine(t)
 	for i, ing := range []func() (*IngestResult, error){
-		func() (*IngestResult, error) { return eng.IngestVideo("empty_buf", raw) },
-		func() (*IngestResult, error) { return eng.IngestVideoStream("empty_stream", bytes.NewReader(raw)) },
+		func() (*IngestResult, error) {
+			return eng.IngestVideoStream(context.Background(), "empty_buf", bytes.NewReader(raw))
+		},
+		func() (*IngestResult, error) {
+			return eng.IngestVideoStream(context.Background(), "empty_stream", bytes.NewReader(raw))
+		},
 	} {
 		res, err := ing()
 		if err != nil {

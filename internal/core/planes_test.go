@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 
 	"testing"
 
@@ -34,7 +35,7 @@ func TestIngestRescalesEachSourceFrameOnce(t *testing.T) {
 	eng := openTestEngine(t)
 	v := genVideo(synthvid.Movie, 12)
 	start := imaging.RescaleCalls()
-	res, err := eng.IngestFrames("movie_00", v.Frames, v.FPS)
+	res, err := eng.IngestFrames(context.Background(), "movie_00", v.Frames, v.FPS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestIngestStreamRescalesEachSourceFrameOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := imaging.RescaleCalls()
-	res, err := eng.IngestVideoStream("cartoon_00", bytes.NewReader(container))
+	res, err := eng.IngestVideoStream(context.Background(), "cartoon_00", bytes.NewReader(container))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func TestSearchFrameSingleRescale(t *testing.T) {
 	eng := openTestEngine(t)
 	ingest(t, eng, "news_00", synthvid.News, 13)
 	q := genVideo(synthvid.News, 14).Frames[0]
-	if _, err := eng.SearchFrame(q, SearchOptions{K: 3}); err != nil {
+	if _, err := eng.SearchFrame(context.Background(), q, SearchOptions{K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	start := imaging.RescaleCalls()
-	if _, err := eng.SearchFrame(q, SearchOptions{K: 3}); err != nil {
+	if _, err := eng.SearchFrame(context.Background(), q, SearchOptions{K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if n := imaging.RescaleCalls() - start; n != 1 {

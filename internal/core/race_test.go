@@ -56,7 +56,7 @@ func TestConcurrentSearchIngestDelete(t *testing.T) {
 					NoPruning: i%3 == 0,
 					Workers:   s % 3, // 0 (default), 1 (serial), 2
 				}
-				m, err := eng.SearchWithSet(qset, qbucket, opt)
+				m, _, err := eng.SearchWithSetStats(qset, qbucket, opt)
 				if err != nil {
 					errCh <- err
 					return
@@ -95,7 +95,7 @@ func TestConcurrentSearchIngestDelete(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < churnIter; i++ {
 			v := small(int64(500 + i))
-			res, err := eng.IngestFrames(v.Name, v.Frames, v.FPS)
+			res, err := eng.IngestFrames(context.Background(), v.Name, v.Frames, v.FPS)
 			if err != nil {
 				errCh <- err
 				return
@@ -114,7 +114,7 @@ func TestConcurrentSearchIngestDelete(t *testing.T) {
 	}
 
 	// The seed corpus must have survived the churn intact.
-	m, err := eng.SearchWithSet(qset, qbucket, SearchOptions{K: 1})
+	m, _, err := eng.SearchWithSetStats(qset, qbucket, SearchOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestConcurrentWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := genVideo(synthvid.Nature, 410)
-	if _, err := eng.IngestFrames("warm", v.Frames, v.FPS); err != nil {
+	if _, err := eng.IngestFrames(context.Background(), "warm", v.Frames, v.FPS); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -169,7 +169,7 @@ func TestConcurrentWarmup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m, err := eng2.SearchWithSet(qset, qbucket, SearchOptions{K: 1, NoPruning: true})
+			m, _, err := eng2.SearchWithSetStats(qset, qbucket, SearchOptions{K: 1, NoPruning: true})
 			if err != nil {
 				errCh <- err
 				return
@@ -185,7 +185,7 @@ func TestConcurrentWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	var kinds []features.Kind // nil: all kinds, exercise full warm cache
-	if _, err := eng2.SearchWithSet(qset, qbucket, SearchOptions{Kinds: kinds}); err != nil {
+	if _, _, err := eng2.SearchWithSetStats(qset, qbucket, SearchOptions{Kinds: kinds}); err != nil {
 		t.Fatal(err)
 	}
 }

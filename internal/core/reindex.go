@@ -57,15 +57,12 @@ type kfReindexWork struct {
 // index postings are swapped under the engine lock. A reader therefore
 // sees either the old rows or the new rows, never a mix — the same
 // guarantee crash recovery provides (see reindex_crash_test.go).
-func (e *Engine) ReindexVideo(videoID int64) (*ReindexResult, error) {
-	return e.ReindexVideoCtx(context.Background(), videoID)
-}
-
-// ReindexVideoCtx is ReindexVideo under a request context: cancellation is
-// checked once per decoded key-frame record during re-extraction and once
-// more before the replacement transaction begins, so an aborted request
-// leaves the old rows (and the cache) fully intact.
-func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexResult, error) {
+//
+// ctx is checked once per decoded key-frame record during re-extraction
+// and once more before the replacement transaction begins, so an aborted
+// request leaves the old rows (and the cache) fully intact. A video that
+// is missing, or deleted before the swap, fails with ErrNotFound.
+func (e *Engine) ReindexVideo(ctx context.Context, videoID int64) (*ReindexResult, error) {
 	fail := func(err error) (*ReindexResult, error) {
 		return nil, fmt.Errorf("core: reindex video %d: %w", videoID, err)
 	}
@@ -147,7 +144,7 @@ func (e *Engine) ReindexVideoCtx(ctx context.Context, videoID int64) (*ReindexRe
 	name, alive := e.vname[videoID]
 	if !alive {
 		e.mu.Unlock()
-		return fail(errors.New("video deleted during reindex"))
+		return fail(fmt.Errorf("video deleted during reindex: %w", ErrNotFound))
 	}
 	for _, w := range works {
 		e.replaceEntry(&frameEntry{
@@ -227,24 +224,22 @@ func (e *Engine) reextractStream(ctx context.Context, r io.Reader, rows []*catal
 }
 
 // ReindexAll rebuilds the feature rows of every stored video in V_ID
-// order, returning one result per video. It stops at the first failure,
-// returning the results of the videos already rebuilt alongside the
-// error; completed videos keep their new rows (each video commits
-// independently).
-func (e *Engine) ReindexAll() ([]*ReindexResult, error) {
-	return e.ReindexAllCtx(context.Background())
-}
-
-// ReindexAllCtx is ReindexAll under a request context; cancellation stops
-// between (and inside) per-video rebuilds, keeping already-committed videos.
-func (e *Engine) ReindexAllCtx(ctx context.Context) ([]*ReindexResult, error) {
+// order, returning one result per rebuilt video. A video deleted after
+// the listing (its rebuild fails with ErrNotFound) is skipped. Any other
+// failure, including cancellation of ctx, stops the sweep and returns the
+// results of the videos already rebuilt alongside the error; completed
+// videos keep their new rows (each video commits independently).
+func (e *Engine) ReindexAll(ctx context.Context) ([]*ReindexResult, error) {
 	vids, err := e.store.ListVideos(nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: reindex all: %w", err)
 	}
 	out := make([]*ReindexResult, 0, len(vids))
 	for _, v := range vids {
-		res, err := e.ReindexVideoCtx(ctx, v.ID)
+		res, err := e.ReindexVideo(ctx, v.ID)
+		if errors.Is(err, ErrNotFound) {
+			continue
+		}
 		if err != nil {
 			return out, err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -75,7 +76,7 @@ func crashFixture(t *testing.T, dir string) (*Engine, int64, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.IngestVideoStream("crash", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStream(context.Background(), "crash", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestReindexCrashMidTransaction(t *testing.T) {
 					eng.Store().DB().SimulateCrash()
 				}
 			}
-			if _, err := eng.ReindexVideo(videoID); err == nil {
+			if _, err := eng.ReindexVideo(context.Background(), videoID); err == nil {
 				t.Fatal("reindex across a crash reported success")
 			}
 
@@ -134,7 +135,7 @@ func TestReindexCrashMidTransaction(t *testing.T) {
 				}
 			}
 			// The recovered store re-indexes cleanly.
-			if _, err := re.ReindexVideo(videoID); err != nil {
+			if _, err := re.ReindexVideo(context.Background(), videoID); err != nil {
 				t.Fatalf("reindex after recovery: %v", err)
 			}
 		})
@@ -154,7 +155,7 @@ func TestReindexWALKillSweep(t *testing.T) {
 	if err := eng.Store().DB().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ReindexVideo(videoID); err != nil {
+	if _, err := eng.ReindexVideo(context.Background(), videoID); err != nil {
 		t.Fatal(err)
 	}
 	new := fingerprints(t, eng, videoID)
@@ -203,7 +204,7 @@ func TestReindexWALKillSweep(t *testing.T) {
 		}
 		// Whatever state recovery chose, the store must stay fully
 		// re-indexable.
-		if _, err := re.ReindexVideo(videoID); err != nil {
+		if _, err := re.ReindexVideo(context.Background(), videoID); err != nil {
 			t.Fatalf("%s: reindex after recovery: %v", label, err)
 		}
 		re.Close()

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -40,7 +42,7 @@ func TestReindexVideoBitIdentical(t *testing.T) {
 	raw, v := testContainer(t, synthvid.Sports, 41, 18)
 
 	eng := openTestEngine(t)
-	res, err := eng.IngestVideoStream("clip", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStream(context.Background(), "clip", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +50,12 @@ func TestReindexVideoBitIdentical(t *testing.T) {
 	if len(before.rows) < 2 {
 		t.Fatalf("degenerate fixture: %d key frames", len(before.rows))
 	}
-	preSearch, err := eng.SearchFrame(v.Frames[0], SearchOptions{K: 5})
+	preSearch, err := eng.SearchFrame(context.Background(), v.Frames[0], SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rx, err := eng.ReindexVideo(res.VideoID)
+	rx, err := eng.ReindexVideo(context.Background(), res.VideoID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestReindexVideoBitIdentical(t *testing.T) {
 	// Fresh ingest into a second engine agrees column for column (IDs
 	// aside, both engines assign the same sequence from 1).
 	eng2 := openTestEngine(t)
-	res2, err := eng2.IngestVideoStream("clip", bytes.NewReader(raw))
+	res2, err := eng2.IngestVideoStream(context.Background(), "clip", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestReindexVideoBitIdentical(t *testing.T) {
 	rowsEqual(t, "reindex vs fresh ingest", after.rows, fresh.rows)
 
 	// Search is undisturbed: same ranking, same distances.
-	postSearch, err := eng.SearchFrame(v.Frames[0], SearchOptions{K: 5})
+	postSearch, err := eng.SearchFrame(context.Background(), v.Frames[0], SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestReindexAll(t *testing.T) {
 	var want []int64
 	for i, cat := range []synthvid.Category{synthvid.Sports, synthvid.News, synthvid.Cartoon} {
 		raw, _ := testContainer(t, cat, int64(50+i), 12)
-		res, err := eng.IngestVideoStream(fmt.Sprintf("clip_%d", i), bytes.NewReader(raw))
+		res, err := eng.IngestVideoStream(context.Background(), fmt.Sprintf("clip_%d", i), bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +120,7 @@ func TestReindexAll(t *testing.T) {
 		before[id] = loadStored(t, eng, id)
 	}
 
-	results, err := eng.ReindexAll()
+	results, err := eng.ReindexAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,7 @@ func TestReindexAll(t *testing.T) {
 // TestReindexMissingVideo surfaces a clean error.
 func TestReindexMissingVideo(t *testing.T) {
 	eng := openTestEngine(t)
-	if _, err := eng.ReindexVideo(99); err == nil || !strings.Contains(err.Error(), "no such video") {
+	if _, err := eng.ReindexVideo(context.Background(), 99); err == nil || !strings.Contains(err.Error(), "no such video") {
 		t.Fatalf("reindex of missing video: %v", err)
 	}
 }
@@ -148,7 +150,7 @@ func TestReindexMissingVideo(t *testing.T) {
 func TestReindexUnderSearchChurn(t *testing.T) {
 	eng := openTestEngine(t)
 	raw, v := testContainer(t, synthvid.Sports, 60, 18)
-	res, err := eng.IngestVideoStream("churn", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStream(context.Background(), "churn", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestReindexUnderSearchChurn(t *testing.T) {
 					return
 				default:
 				}
-				m, err := eng.SearchWithSet(qset, qbucket, SearchOptions{K: 3, NoPruning: i%2 == 0})
+				m, _, err := eng.SearchWithSetStats(qset, qbucket, SearchOptions{K: 3, NoPruning: i%2 == 0})
 				if err != nil {
 					errCh <- err
 					return
@@ -181,7 +183,7 @@ func TestReindexUnderSearchChurn(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := eng.ReindexVideo(res.VideoID); err != nil {
+		if _, err := eng.ReindexVideo(context.Background(), res.VideoID); err != nil {
 			close(stop)
 			t.Fatal(err)
 		}
@@ -201,14 +203,14 @@ func TestIngestRasterPoolBounded(t *testing.T) {
 	eng := openTestEngine(t)
 	const frames = 48
 	raw, _ := testContainer(t, synthvid.Movie, 61, frames)
-	res, err := eng.IngestVideoStream("pooled", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStream(context.Background(), "pooled", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumFrames != frames {
 		t.Fatalf("decoded %d frames", res.NumFrames)
 	}
-	if _, err := eng.ReindexVideo(res.VideoID); err != nil {
+	if _, err := eng.ReindexVideo(context.Background(), res.VideoID); err != nil {
 		t.Fatal(err)
 	}
 	// Decode loop + queued jobs + in-flight workers each hold at most one
@@ -225,12 +227,12 @@ func TestIngestRasterPoolBounded(t *testing.T) {
 func TestReindexRescalesEachKeyFrameOnce(t *testing.T) {
 	eng := openTestEngine(t)
 	raw, _ := testContainer(t, synthvid.Nature, 62, 16)
-	res, err := eng.IngestVideoStream("once", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStream(context.Background(), "once", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := imaging.RescaleCalls()
-	rx, err := eng.ReindexVideo(res.VideoID)
+	rx, err := eng.ReindexVideo(context.Background(), res.VideoID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestReindexRescalesEachKeyFrameOnce(t *testing.T) {
 func TestReindexDeletedMidSwap(t *testing.T) {
 	eng := openTestEngine(t)
 	raw, _ := testContainer(t, synthvid.Cartoon, 63, 14)
-	res, err := eng.IngestVideoStream("doomed", bytes.NewReader(raw))
+	res, err := eng.IngestVideoStream(context.Background(), "doomed", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +259,12 @@ func TestReindexDeletedMidSwap(t *testing.T) {
 			}
 		}
 	}
-	if _, err := eng.ReindexVideo(res.VideoID); err == nil || !strings.Contains(err.Error(), "deleted during reindex") {
+	_, err = eng.ReindexVideo(context.Background(), res.VideoID)
+	if err == nil || !strings.Contains(err.Error(), "deleted during reindex") {
 		t.Fatalf("reindex of concurrently deleted video: %v", err)
+	}
+	if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("reindex of concurrently deleted video: %v does not wrap ErrNotFound", err)
 	}
 	eng.reindexHook = nil
 	n, err := eng.CacheSize()
@@ -267,5 +273,39 @@ func TestReindexDeletedMidSwap(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("%d ghost cache entries survive a delete that raced a reindex", n)
+	}
+}
+
+// TestReindexAllSkipsDeleted pins the sweep's side of the delete/reindex
+// race: a video deleted after ReindexAll listed it is skipped, not
+// reported as a failure of the whole sweep.
+func TestReindexAllSkipsDeleted(t *testing.T) {
+	eng := openTestEngine(t)
+	var ids []int64
+	for i, cat := range []synthvid.Category{synthvid.Sports, synthvid.News} {
+		raw, _ := testContainer(t, cat, int64(70+i), 12)
+		res, err := eng.IngestVideoStream(context.Background(), fmt.Sprintf("clip_%d", i), bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, res.VideoID)
+	}
+	var once sync.Once
+	eng.reindexHook = func(stage string) {
+		if stage == "post-commit" {
+			once.Do(func() {
+				if err := eng.DeleteVideo(ids[1]); err != nil {
+					t.Errorf("delete during reindex: %v", err)
+				}
+			})
+		}
+	}
+	results, err := eng.ReindexAll(context.Background())
+	eng.reindexHook = nil
+	if err != nil {
+		t.Fatalf("reindex all with a video deleted mid-sweep: %v", err)
+	}
+	if len(results) != 1 || results[0].VideoID != ids[0] {
+		t.Fatalf("results %+v, want one result for video %d", results, ids[0])
 	}
 }

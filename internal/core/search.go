@@ -87,16 +87,11 @@ func parallelFor(n, workers int, fn func(i int)) {
 
 // SearchFrame ranks stored key frames against a query frame: extract the
 // query's descriptors, prune candidates through the sharded range index,
-// score per feature in parallel, fuse and select the top K.
-func (e *Engine) SearchFrame(query *imaging.Image, opt SearchOptions) ([]Match, error) {
-	return e.SearchFrameCtx(context.Background(), query, opt)
-}
-
-// SearchFrameCtx is SearchFrame under a request context: cancellation is
-// checked before query extraction and between shard scans, so an abandoned
-// request stops scoring within one shard's worth of work and returns the
-// context's error instead of a partial ranking.
-func (e *Engine) SearchFrameCtx(ctx context.Context, query *imaging.Image, opt SearchOptions) ([]Match, error) {
+// score per feature in parallel, fuse and select the top K. ctx is
+// checked before query extraction and between shard scans, so an
+// abandoned request stops scoring within one shard's worth of work and
+// returns the context's error instead of a partial ranking.
+func (e *Engine) SearchFrame(ctx context.Context, query *imaging.Image, opt SearchOptions) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -107,13 +102,8 @@ func (e *Engine) SearchFrameCtx(ctx context.Context, query *imaging.Image, opt S
 	qset := planes.ExtractAll()
 	qbucket := BucketFromPlanes(planes)
 	planes.Release()
-	return e.searchSet(ctx, qset, qbucket, opt)
-}
-
-// SearchWithSet runs the frame search with pre-extracted query descriptors
-// (evaluation harness; avoids re-extracting per feature configuration).
-func (e *Engine) SearchWithSet(qset *features.Set, qbucket rangeindex.Range, opt SearchOptions) ([]Match, error) {
-	return e.searchSet(context.Background(), qset, qbucket, opt)
+	out, _, err := e.searchSet(ctx, qset, qbucket, opt)
+	return out, err
 }
 
 // scored pairs one candidate with its per-kind raw distances; the row
@@ -143,15 +133,9 @@ type scanStats struct {
 
 // searchSet is the scoring half of SearchFrame: the concurrent sharded
 // pipeline. It is deterministic — identical rankings and distances at any
-// worker count, matching searchSetReference.
-func (e *Engine) searchSet(ctx context.Context, qset *features.Set, qbucket rangeindex.Range, opt SearchOptions) ([]Match, error) {
-	out, _, err := e.searchSetStats(ctx, qset, qbucket, opt)
-	return out, err
-}
-
-// searchSetStats is searchSet with the per-search work counters surfaced
-// (and folded into the engine-wide tally either way).
-func (e *Engine) searchSetStats(ctx context.Context, qset *features.Set, qbucket rangeindex.Range, opt SearchOptions) ([]Match, SearchStats, error) {
+// worker count, matching searchSetReference. The per-search work counters
+// are returned and folded into the engine-wide tally.
+func (e *Engine) searchSet(ctx context.Context, qset *features.Set, qbucket rangeindex.Range, opt SearchOptions) ([]Match, SearchStats, error) {
 	if err := e.warmCache(); err != nil {
 		return nil, SearchStats{}, err
 	}
@@ -765,16 +749,11 @@ func (e *Engine) SearchWithSetReference(qset *features.Set, qbucket rangeindex.R
 // dynamic-programming sequence similarity: the query's key-frame
 // descriptor sequence is aligned (DTW) against each stored video's
 // key-frame sequence, with per-pair cost the equally weighted sum of
-// fixed-scale feature distances.
-func (e *Engine) SearchVideo(queryFrames []*imaging.Image, opt SearchOptions) ([]VideoMatch, error) {
-	return e.SearchVideoCtx(context.Background(), queryFrames, opt)
-}
-
-// SearchVideoCtx is SearchVideo under a request context: cancellation is
-// checked before query extraction and between per-video DTW alignments,
-// so an abandoned clip query stops within one alignment's worth of work
-// and returns the context's error instead of a partial ranking.
-func (e *Engine) SearchVideoCtx(ctx context.Context, queryFrames []*imaging.Image, opt SearchOptions) ([]VideoMatch, error) {
+// fixed-scale feature distances. ctx is checked before query extraction
+// and between per-video DTW alignments, so an abandoned clip query stops
+// within one alignment's worth of work and returns the context's error
+// instead of a partial ranking.
+func (e *Engine) SearchVideo(ctx context.Context, queryFrames []*imaging.Image, opt SearchOptions) ([]VideoMatch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

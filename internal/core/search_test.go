@@ -59,7 +59,7 @@ func sharedFixture(t *testing.T) *searchFixture {
 			v := synthvid.Generate(cat, synthvid.Config{
 				Width: 96, Height: 72, Frames: 14, Shots: 4, Seed: int64(100 + i),
 			})
-			if _, err := eng.IngestFrames(v.Name, v.Frames, v.FPS); err != nil {
+			if _, err := eng.IngestFrames(context.Background(), v.Name, v.Frames, v.FPS); err != nil {
 				fixtureErr = err
 				return
 			}
@@ -175,7 +175,7 @@ func TestShardedSearchMatchesReference(t *testing.T) {
 				for _, workers := range []int{1, 2, 0} {
 					opt := tc.opt
 					opt.Workers = workers
-					got, err := f.eng.SearchWithSet(f.qsets[qi], f.qbkts[qi], opt)
+					got, _, err := f.eng.SearchWithSetStats(f.qsets[qi], f.qbkts[qi], opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -195,7 +195,7 @@ func TestShardedSearchSingleShardEngine(t *testing.T) {
 	}
 	defer eng.Close()
 	v := genVideo(synthvid.Sports, 301)
-	if _, err := eng.IngestFrames("s", v.Frames, v.FPS); err != nil {
+	if _, err := eng.IngestFrames(context.Background(), "s", v.Frames, v.FPS); err != nil {
 		t.Fatal(err)
 	}
 	if eng.NumShards() != 1 {
@@ -207,7 +207,7 @@ func TestShardedSearchSingleShardEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.SearchWithSet(qset, bucket, SearchOptions{NoPruning: true, Workers: 1})
+	got, _, err := eng.SearchWithSetStats(qset, bucket, SearchOptions{NoPruning: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSearchMissingQueryDescriptor(t *testing.T) {
 	f := sharedFixture(t)
 	empty := &features.Set{}
 	opt := SearchOptions{Kinds: []features.Kind{features.KindGabor}}
-	if _, err := f.eng.SearchWithSet(empty, f.qbkts[0], opt); err == nil {
+	if _, _, err := f.eng.SearchWithSetStats(empty, f.qbkts[0], opt); err == nil {
 		t.Error("pipeline accepted query without gabor descriptor")
 	}
 	if _, err := f.eng.SearchWithSetReference(empty, f.qbkts[0], opt); err == nil {
@@ -234,7 +234,7 @@ func TestSearchMissingQueryDescriptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if _, err := eng.SearchWithSet(empty, f.qbkts[0], opt); err == nil {
+	if _, _, err := eng.SearchWithSetStats(empty, f.qbkts[0], opt); err == nil {
 		t.Error("pipeline accepted descriptor-less query on empty engine")
 	}
 	if _, err := eng.SearchWithSetReference(empty, f.qbkts[0], opt); err == nil {

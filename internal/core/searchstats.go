@@ -55,10 +55,12 @@ func (s SearchStats) EvalRatio() float64 {
 	return float64(s.ExactEvals()) / float64(t)
 }
 
-// SearchWithSetStats is SearchWithSet with the work counters surfaced —
-// the evaluation harness' entry point for recall-vs-work curves.
+// SearchWithSetStats runs the frame search with pre-extracted query
+// descriptors and surfaces the work counters — the evaluation harness'
+// entry point (no per-configuration re-extraction) and its source of
+// recall-vs-work curves.
 func (e *Engine) SearchWithSetStats(qset *features.Set, qbucket rangeindex.Range, opt SearchOptions) ([]Match, SearchStats, error) {
-	return e.searchSetStats(context.Background(), qset, qbucket, opt)
+	return e.searchSet(context.Background(), qset, qbucket, opt)
 }
 
 // searchTally accumulates SearchStats across every search on the engine.

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -99,7 +100,7 @@ func BuildCorpus(eng *core.Engine, cfg Table1Config) (int, error) {
 	vc.Seed = cfg.Seed
 	videos := synthvid.GenerateCorpus(cfg.VideosPerCategory, vc)
 	for _, v := range videos {
-		if _, err := eng.IngestFrames(v.Name, v.Frames, v.FPS); err != nil {
+		if _, err := eng.IngestFrames(context.Background(), v.Name, v.Frames, v.FPS); err != nil {
 			return 0, fmt.Errorf("eval: ingest %s: %w", v.Name, err)
 		}
 	}
@@ -172,7 +173,7 @@ func RunTable1(eng *core.Engine, queries []Query) (*Table1Result, error) {
 		row := Table1Row{Method: m.Name}
 		per := make([][4]float64, 0, len(queries))
 		for qi, q := range queries {
-			matches, err := eng.SearchWithSet(qsets[qi], qbuckets[qi], core.SearchOptions{
+			matches, _, err := eng.SearchWithSetStats(qsets[qi], qbuckets[qi], core.SearchOptions{
 				K:     maxK,
 				Kinds: m.Kinds,
 				// Table 1 measures feature quality; pruning is an
@@ -207,7 +208,8 @@ func RunTable1(eng *core.Engine, queries []Query) (*Table1Result, error) {
 }
 
 // PaperTable1 returns the published Table 1 values for side-by-side
-// reporting in EXPERIMENTS.md and the bench harness.
+// reporting by cmd/cbvr-bench -table1 (README, "Reproducing the paper's
+// Table 1").
 func PaperTable1() []Table1Row {
 	return []Table1Row{
 		{Method: "GLCM", P: [4]float64{0.435, 0.423, 0.410, 0.354}},

@@ -120,7 +120,10 @@ func (h *ColorHistogram) DistanceTo(other Descriptor) (float64, error) {
 			d += pb - pa
 		}
 	}
-	return d, nil
+	// Two disjoint histograms sum to 2 plus rounding; clamp to the
+	// documented [0, 2] range. min(d, 2) is still a metric, so the cell
+	// pruner's lower bounds stay sound.
+	return min(d, 2), nil
 }
 
 // AppendTo implements Descriptor. Packed layout (stride 257): the total

@@ -237,6 +237,10 @@ func TestHistogramDistanceBounds(t *testing.T) {
 		d, err := a.DistanceTo(b)
 		return err == nil && d >= 0 && d <= 2
 	}
+	// Two histograms with no shared bin once summed to 2 plus one ulp.
+	if !f(1528389000141879547, 5108859985090821764) {
+		t.Error("disjoint histograms: distance outside [0, 2]")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
 	}

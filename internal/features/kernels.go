@@ -133,7 +133,8 @@ func l2Row(q, r []float64) float64 {
 
 // histRow is ColorHistogram.DistanceTo over packed vectors: element 0 is
 // the histogram mass (the degenerate empty-histogram rule), elements
-// 1..256 the bin probabilities compared by L1.
+// 1..256 the bin probabilities compared by L1, clamped at 2 exactly as
+// DistanceTo clamps.
 //
 //cbvrvet:noalloc
 func histRow(q, r []float64) float64 {
@@ -143,7 +144,7 @@ func histRow(q, r []float64) float64 {
 		}
 		return 2
 	}
-	return l1Row(q[1:], r[1:])
+	return min(l1Row(q[1:], r[1:]), 2)
 }
 
 // glcmRow is GLCM.DistanceTo over packed vectors: per-statistic scaled

@@ -281,7 +281,7 @@ func TestStatsReportsOverloadView(t *testing.T) {
 			Level   float64 `json:"level"`
 			Classes []struct {
 				Class string `json:"class"`
-				Limit int     `json:"limit"`
+				Limit int    `json:"limit"`
 			} `json:"classes"`
 		} `json:"admission"`
 		Brownout *float64 `json:"brownout"`
@@ -337,7 +337,7 @@ func TestUIRoutesShareAPIGuards(t *testing.T) {
 	}
 	defer eng.Close()
 	raw, v := testContainer(t, synthvid.Cartoon, 740, 8)
-	res, err := eng.IngestFrames("resident", v.Frames, v.FPS)
+	res, err := eng.IngestFrames(context.Background(), "resident", v.Frames, v.FPS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -450,7 +450,7 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, maxK int) ([]cor
 	if v, err := strconv.Atoi(kStr); err == nil && v > 0 && v <= maxK {
 		k = v
 	}
-	matches, err := s.eng.SearchFrameCtx(r.Context(), query, core.SearchOptions{K: k})
+	matches, err := s.eng.SearchFrame(r.Context(), query, core.SearchOptions{K: k})
 	if err != nil {
 		s.writeErr(w, err, admission.Search)
 		return nil, false
@@ -607,7 +607,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	} else {
 		container = r.Body
 	}
-	res, err := s.eng.IngestVideoStreamCtx(r.Context(), name, container)
+	res, err := s.eng.IngestVideoStream(r.Context(), name, container)
 	if err != nil {
 		s.writeErr(w, err, admission.Ingest)
 		return
@@ -652,14 +652,14 @@ func (s *Server) reindex(w http.ResponseWriter, r *http.Request) ([]*core.Reinde
 			badRequest(w, "invalid \"id\" parameter")
 			return nil, false
 		}
-		res, err := s.eng.ReindexVideoCtx(r.Context(), id)
+		res, err := s.eng.ReindexVideo(r.Context(), id)
 		if err != nil {
 			s.writeStoredErr(w, err, admission.Reindex)
 			return nil, false
 		}
 		return []*core.ReindexResult{res}, true
 	}
-	results, err := s.eng.ReindexAllCtx(r.Context())
+	results, err := s.eng.ReindexAll(r.Context())
 	if err != nil {
 		s.writeStoredErr(w, err, admission.Reindex)
 		return nil, false

@@ -215,7 +215,7 @@ func (s *Server) handleAdminUpload(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = hdr.Filename
 	}
-	if _, err := s.eng.IngestVideoStreamCtx(r.Context(), name, file); err != nil {
+	if _, err := s.eng.IngestVideoStream(r.Context(), name, file); err != nil {
 		s.writeErr(w, fmt.Errorf("ingest failed: %w", err), admission.Ingest)
 		return
 	}

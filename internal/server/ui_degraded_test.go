@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -25,7 +26,7 @@ func TestWebUIDegradedMode(t *testing.T) {
 	}
 	defer eng.Close()
 	v := synthvid.Generate(synthvid.Cartoon, synthvid.Config{Width: 96, Height: 72, Frames: 10, Shots: 2, Seed: 3})
-	res, err := eng.IngestFrames("cartoon_00", v.Frames, v.FPS)
+	res, err := eng.IngestFrames(context.Background(), "cartoon_00", v.Frames, v.FPS)
 	if err != nil {
 		t.Fatal(err)
 	}

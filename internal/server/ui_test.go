@@ -30,7 +30,7 @@ func newTestServerWith(t *testing.T, opts Options) (*Server, *core.Engine, *core
 	}
 	t.Cleanup(func() { eng.Close() })
 	v := synthvid.Generate(synthvid.Cartoon, synthvid.Config{Width: 96, Height: 72, Frames: 10, Shots: 2, Seed: 3})
-	res, err := eng.IngestFrames("cartoon_00", v.Frames, v.FPS)
+	res, err := eng.IngestFrames(context.Background(), "cartoon_00", v.Frames, v.FPS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func (k OpKind) String() string {
 
 // Op describes one filesystem operation about to run.
 type Op struct {
-	Index int    // global op counter, starting at 0
+	Index int // global op counter, starting at 0
 	Kind  OpKind
 	Name  string // base name of the file ("x.db", "x.db.wal")
 	Off   int64  // for read/write/truncate
